@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .liealg import LieAlgebraSpec
-from .linalg import Mat
+from .linalg import Mat, lincomb
 from .modules import GModule, _promote, tensor_module
 from .poly import Poly
 from .rational import Q, ZERO, ONE
@@ -111,11 +111,11 @@ class EvaluationModule:
         cached = self._poly_cache.get(key)
         if cached is not None:
             return cached
-        out = Mat.zeros(self.dim, self.dim)
-        for i, p in enumerate(self.points):
-            v = poly(p)
-            if v:
-                out = out + self._promoted(basis_index, i).scale(v)
+        out = lincomb(
+            ((poly(p), self._promoted(basis_index, i)) for i, p in enumerate(self.points)),
+            self.dim,
+            self.dim,
+        )
         self._poly_cache[key] = out
         return out
 
@@ -132,11 +132,9 @@ def evaluation_action(x, poly: Poly, em: EvaluationModule) -> Mat:
         coords = em.spec.coords(x)
     else:
         coords = list(x)
-    out = Mat.zeros(em.dim, em.dim)
-    for i, c in enumerate(coords):
-        if c:
-            out = out + em.basis_action(i, poly).scale(c)
-    return out
+    return lincomb(
+        ((c, em.basis_action(i, poly)) for i, c in enumerate(coords) if c), em.dim, em.dim
+    )
 
 
 def theta_operator(theta: InvariantTensor, polys: list) -> CurrentOperator:
@@ -161,16 +159,23 @@ def theta_operator(theta: InvariantTensor, polys: list) -> CurrentOperator:
 
 def current_operator_matrix(op: CurrentOperator, em: EvaluationModule) -> Mat:
     """Σ_terms coeff · M_1 M_2 ... M_k, rightmost factor applying first."""
-    out = Mat.zeros(em.dim, em.dim)
-    for coeff, word in op.terms:
-        m = None
-        for idx, deg in word:
-            step = em.basis_action(idx, Poly.monomial(deg))
-            m = step if m is None else m * step
-        if m is None:
-            m = Mat.identity(em.dim)
-        out = out + m.scale(coeff)
-    return out
+    return lincomb(
+        (
+            (coeff, _word_matrix([(idx, Poly.monomial(deg)) for idx, deg in word], em))
+            for coeff, word in op.terms
+        ),
+        em.dim,
+        em.dim,
+    )
+
+
+def _word_matrix(word, em: EvaluationModule) -> Mat:
+    """M_1 M_2 ... M_k for a word of (basis index, polynomial) letters."""
+    m = None
+    for idx, poly in word:
+        step = em.basis_action(idx, poly)
+        m = step if m is None else m * step
+    return Mat.identity(em.dim) if m is None else m
 
 
 def invariant_operator_matrix(
@@ -186,13 +191,8 @@ def invariant_operator_matrix(
         raise ValueError(
             f"arity mismatch: tensor degree {theta.k}, got {len(polys)} polynomials"
         )
-    out = Mat.zeros(em.dim, em.dim)
-    for coeff, indices in theta.terms:
-        m = None
-        for j, idx in enumerate(indices):
-            step = em.basis_action(idx, polys[j])
-            m = step if m is None else m * step
-        if m is None:
-            m = Mat.identity(em.dim)
-        out = out + m.scale(coeff)
-    return out
+    return lincomb(
+        ((coeff, _word_matrix(zip(indices, polys), em)) for coeff, indices in theta.terms),
+        em.dim,
+        em.dim,
+    )

@@ -168,9 +168,8 @@ def theta_sigma_sp(sigma: Permutation, n: int, spec: LieAlgebraSpec | None = Non
         key = (a, b)
         got = factor_cache.get(key)
         if got is None:
-            m = Mat.zeros(N, N)
-            m.data[a - 1][N - b] += half * sign_function(n, b)
-            m.data[b - 1][N - a] += half * sign_function(n, a)
+            m = Mat.from_entries(N, N, {(a - 1, N - b): half * sign_function(n, b)})
+            m = m + Mat.from_entries(N, N, {(b - 1, N - a): half * sign_function(n, a)})
             got = _sparse_coords(spec, m)
             factor_cache[key] = got
         return got

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .linalg import Mat, inverse
+from .linalg import Mat, inverse, lincomb
 from .rational import Q, ZERO, ONE
 
 GL = "gl"
@@ -65,24 +65,12 @@ class LieAlgebraSpec:
         """
         pairing = [(b * x).trace() for b in self.basis]
         coords = self.gram_inverse.apply(pairing)
-        recon = Mat.zeros(self.matrix_size, self.matrix_size)
-        for c, b in zip(coords, self.basis):
-            if c:
-                recon = recon + b.scale(c)
-        if recon != x:
+        if self.element(coords) != x:
             raise ValueError(f"matrix not in {self.family}({self.n})")
         return coords
 
-    def bracket_coords(self, i: int, j: int) -> dict:
-        """[basis_i, basis_j] as a sparse coordinate dict."""
-        return self.bracket[(i, j)]
-
     def element(self, coords) -> Mat:
-        out = Mat.zeros(self.matrix_size, self.matrix_size)
-        for c, b in zip(coords, self.basis):
-            if c:
-                out = out + b.scale(c)
-        return out
+        return lincomb(zip(coords, self.basis), self.matrix_size, self.matrix_size)
 
 
 def _unit(size: int, i: int, j: int) -> Mat:
@@ -185,21 +173,9 @@ def build_lie_algebra(family: str, n: int) -> LieAlgebraSpec:
         raise ValueError(f"unknown family {family!r}")
 
     dim = len(basis)
-    gram = Mat.zeros(dim, dim)
-    for i in range(dim):
-        for j in range(dim):
-            gram.data[i][j] = (basis[i] * basis[j]).trace()
+    gram = Mat([[(a * b).trace() for b in basis] for a in basis])
     gram_inv = inverse(gram)
-
-    dual = []
-    for i in range(dim):
-        col = gram_inv.column(i)
-        dual.append(
-            sum(
-                (basis[j].scale(c) for j, c in enumerate(col) if c),
-                Mat.zeros(size, size),
-            )
-        )
+    dual = [lincomb(zip(gram_inv.column(i), basis), size, size) for i in range(dim)]
 
     spec = LieAlgebraSpec(
         family=family,

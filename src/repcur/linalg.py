@@ -1,9 +1,10 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact sparse linear algebra over the rationals.
 
 Row reduction, kernels, span dimensions and unital matrix-algebra closure.
-Everything here is exact; matrices are dense row-major lists of rationals
-and all operations return fresh objects (matrices are treated as immutable
-values once built).
+Everything here is exact.  A matrix stores each row as a {column: value}
+dict holding only its nonzero entries, so every kernel touches nonzeros
+only; a zero is never stored.  All operations return fresh objects
+(matrices are treated as immutable values once built).
 """
 
 from __future__ import annotations
@@ -11,41 +12,66 @@ from __future__ import annotations
 from .rational import Q, ZERO, ONE
 
 
+def _sparse_row(values) -> dict:
+    """{index: value} over the nonzero entries of a dense sequence."""
+    return {j: q for j, q in enumerate(map(Q, values)) if q}
+
+
+def _axpy(acc: dict, c, row: dict) -> None:
+    """acc += c * row in place, deleting the entries that cancel."""
+    unit = c == 1  # most coefficients and action entries are 1
+    for j, x in row.items():
+        if not unit:
+            x = c * x
+        s = acc.get(j)
+        y = x if s is None else s + x
+        if y:
+            acc[j] = y
+        else:
+            del acc[j]
+
+
 class Mat:
-    """Dense rows x cols matrix of exact rationals."""
+    """Sparse rows x cols matrix of exact rationals.
+
+    ``data[i]`` is row i as a {column: nonzero value} dict.
+    """
 
     __slots__ = ("rows", "cols", "data")
 
-    def __init__(self, data):
-        self.data = [[Q(x) for x in row] for row in data]
-        self.rows = len(self.data)
-        self.cols = len(self.data[0]) if self.data else 0
-        for row in self.data:
-            if len(row) != self.cols:
-                raise ValueError("ragged rows")
+    def __init__(self, rows):
+        """Build from dense rows (a list of equal-length lists)."""
+        self.rows = len(rows)
+        self.cols = len(rows[0]) if rows else 0
+        if any(len(row) != self.cols for row in rows):
+            raise ValueError("ragged rows")
+        self.data = [_sparse_row(row) for row in rows]
 
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> "Mat":
+    def _of(cls, rows: int, cols: int, data: list) -> "Mat":
+        """Wrap row dicts that already hold only nonzero rationals."""
         m = cls.__new__(cls)
-        m.rows, m.cols = rows, cols
-        m.data = [[ZERO] * cols for _ in range(rows)]
+        m.rows, m.cols, m.data = rows, cols, data
         return m
 
     @classmethod
+    def zeros(cls, rows: int, cols: int) -> "Mat":
+        return cls._of(rows, cols, [{} for _ in range(rows)])
+
+    @classmethod
     def identity(cls, n: int) -> "Mat":
-        m = cls.zeros(n, n)
-        for i in range(n):
-            m.data[i][i] = ONE
-        return m
+        return cls._of(n, n, [{i: ONE} for i in range(n)])
 
     @classmethod
     def from_entries(cls, rows: int, cols: int, entries) -> "Mat":
         """Build from a {(i, j): value} mapping."""
         m = cls.zeros(rows, cols)
         for (i, j), v in entries.items():
-            m.data[i][j] = Q(v)
+            v = Q(v)
+            if v:
+                m.data[i][j] = v
         return m
 
     @classmethod
@@ -55,20 +81,19 @@ class Mat:
             if length is None:
                 raise ValueError("cannot infer row count of empty column set")
             return cls.zeros(length, 0)
-        n = len(cols[0])
-        m = cls.zeros(n, len(cols))
-        for j, col in enumerate(cols):
-            for i, v in enumerate(col):
-                m.data[i][j] = Q(v)
-        return m
+        return cls._of(len(cols[0]), len(cols), [_sparse_row(r) for r in zip(*cols)])
 
     # -- basic ops ----------------------------------------------------
 
-    def copy(self) -> "Mat":
-        m = Mat.__new__(Mat)
-        m.rows, m.cols = self.rows, self.cols
-        m.data = [row[:] for row in self.data]
-        return m
+    def __getitem__(self, ij):
+        i, j = ij
+        return self.data[i].get(j, ZERO)
+
+    def items(self):
+        """((i, j), value) over the nonzero entries, row by row."""
+        for i, row in enumerate(self.data):
+            for j, v in row.items():
+                yield (i, j), v
 
     def __eq__(self, other) -> bool:
         return (
@@ -79,85 +104,54 @@ class Mat:
         )
 
     def __hash__(self):
-        return hash((self.rows, self.cols, tuple(tuple(r) for r in self.data)))
+        return hash((self.rows, self.cols, tuple(frozenset(r.items()) for r in self.data)))
 
     def __add__(self, other: "Mat") -> "Mat":
-        self._check_shape(other)
-        m = Mat.__new__(Mat)
-        m.rows, m.cols = self.rows, self.cols
-        m.data = [
-            [a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)
-        ]
-        return m
+        return lincomb(((ONE, self), (ONE, other)), self.rows, self.cols)
 
     def __sub__(self, other: "Mat") -> "Mat":
-        self._check_shape(other)
-        m = Mat.__new__(Mat)
-        m.rows, m.cols = self.rows, self.cols
-        m.data = [
-            [a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)
-        ]
-        return m
+        return lincomb(((ONE, self), (-ONE, other)), self.rows, self.cols)
 
     def scale(self, c) -> "Mat":
-        c = Q(c)
-        m = Mat.__new__(Mat)
-        m.rows, m.cols = self.rows, self.cols
-        m.data = [[c * x for x in row] for row in self.data]
-        return m
+        return lincomb(((c, self),), self.rows, self.cols)
 
     def __mul__(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.shape} x {other.shape}")
-        out = Mat.zeros(self.rows, other.cols)
-        odata = out.data
-        bdata = other.data
-        for i, arow in enumerate(self.data):
-            orow = odata[i]
-            for k, aik in enumerate(arow):
-                if aik:
-                    brow = bdata[k]
-                    for j, bkj in enumerate(brow):
-                        if bkj:
-                            orow[j] += aik * bkj
-        return out
+        out = [{} for _ in range(self.rows)]
+        for orow, arow in zip(out, self.data):
+            for k, a in arow.items():
+                _axpy(orow, a, other.data[k])
+        return Mat._of(self.rows, other.cols, out)
 
     def commutator(self, other: "Mat") -> "Mat":
         return self * other - other * self
 
     def transpose(self) -> "Mat":
-        m = Mat.zeros(self.cols, self.rows)
-        for i, row in enumerate(self.data):
-            for j, v in enumerate(row):
-                if v:
-                    m.data[j][i] = v
-        return m
+        return Mat.from_entries(self.cols, self.rows, {(j, i): v for (i, j), v in self.items()})
 
     def is_zero(self) -> bool:
-        return all(not v for row in self.data for v in row)
+        return not any(self.data)
 
     def trace(self):
         if self.rows != self.cols:
             raise ValueError("trace of non-square matrix")
-        return sum((self.data[i][i] for i in range(self.rows)), ZERO)
-
-    def flat(self) -> list:
-        return [v for row in self.data for v in row]
+        return sum((r.get(i, ZERO) for i, r in enumerate(self.data)), ZERO)
 
     def column(self, j: int) -> list:
-        return [row[j] for row in self.data]
+        return [r.get(j, ZERO) for r in self.data]
 
     def columns(self) -> list:
         return [self.column(j) for j in range(self.cols)]
 
     def apply(self, vec: list) -> list:
-        """Matrix times column vector."""
+        """Matrix times column vector (a dense list)."""
         out = []
         for row in self.data:
             s = ZERO
-            for a, v in zip(row, vec):
-                if a and v:
-                    s += a * v
+            for j, a in row.items():
+                if vec[j]:
+                    s += a * vec[j]
             out.append(s)
         return out
 
@@ -165,47 +159,44 @@ class Mat:
     def shape(self):
         return (self.rows, self.cols)
 
-    def _check_shape(self, other: "Mat"):
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
-
     def __repr__(self):
-        body = "; ".join(" ".join(str(v) for v in row) for row in self.data)
+        body = "; ".join(
+            " ".join(str(r.get(j, ZERO)) for j in range(self.cols)) for r in self.data
+        )
         return f"Mat[{self.rows}x{self.cols}: {body}]"
+
+
+def lincomb(terms, rows: int, cols: int) -> Mat:
+    """Σ c·M over the (c, M) pairs, accumulated in place into one matrix.
+
+    Zero coefficients are skipped; every M must be rows x cols.
+    """
+    acc = [{} for _ in range(rows)]
+    for c, m in terms:
+        if m.rows != rows or m.cols != cols:
+            raise ValueError(f"shape mismatch {(rows, cols)} vs {m.shape}")
+        c = Q(c)
+        if not c:
+            continue
+        for arow, mrow in zip(acc, m.data):
+            _axpy(arow, c, mrow)
+    return Mat._of(rows, cols, acc)
 
 
 def rref(m: Mat):
     """Reduced row echelon form.
 
     Returns (R, rank, pivot_columns).  Exact Gauss-Jordan with leading
-    pivots normalized to 1 and eliminated above and below.
+    pivots normalized to 1 and eliminated above and below; the result is
+    the unique RREF of m, whatever order the rows are reduced in.
     """
-    r = m.copy()
-    data = r.data
-    pivots = []
-    row = 0
-    for col in range(r.cols):
-        if row >= r.rows:
-            break
-        piv = None
-        for i in range(row, r.rows):
-            if data[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != row:
-            data[row], data[piv] = data[piv], data[row]
-        inv = 1 / data[row][col]
-        data[row] = [inv * x for x in data[row]]
-        prow = data[row]
-        for i in range(r.rows):
-            if i != row and data[i][col]:
-                f = data[i][col]
-                data[i] = [x - f * p for x, p in zip(data[i], prow)]
-        pivots.append(col)
-        row += 1
-    return r, row, pivots
+    tracker = SpanTracker(m.cols)
+    for row in m.data:
+        tracker._absorb(dict(row))
+    pivots = sorted(tracker._pivots)
+    data = [tracker._pivots[p] for p in pivots]
+    data.extend({} for _ in range(m.rows - len(pivots)))
+    return Mat._of(m.rows, m.cols, data), len(pivots), pivots
 
 
 def rank(m: Mat) -> int:
@@ -225,7 +216,7 @@ def kernel_basis(m: Mat) -> list:
         v = [ZERO] * m.cols
         v[f] = ONE
         for i, p in enumerate(pivots):
-            v[p] = -r.data[i][f]
+            v[p] = -r[i, f]
         basis.append(v)
     return basis
 
@@ -234,67 +225,79 @@ def stack_rows(mats) -> Mat:
     """Vertically concatenate matrices with equal column counts."""
     mats = list(mats)
     cols = mats[0].cols
-    out = Mat.__new__(Mat)
-    out.cols = cols
-    out.data = []
+    data = []
     for m in mats:
         if m.cols != cols:
             raise ValueError("column count mismatch in stack")
-        out.data.extend(row[:] for row in m.data)
-    out.rows = len(out.data)
-    return out
+        data.extend(m.data)
+    return Mat._of(len(data), cols, data)
 
 
 class SpanTracker:
     """Incrementally row-reduce a growing set of vectors.
 
-    Keeps an echelonized basis; add() reports whether the vector enlarged
-    the span.  Used wherever we only need dimensions of large spanning
-    sets without materializing one huge matrix.
+    Keeps a reduced echelon basis as sparse {index: value} pivot rows, each
+    zero in every other pivot column; add() reports whether the vector
+    enlarged the span.  A vector is a dense list of length ``length`` or a
+    Mat with rows * cols == length, read row-major.  Used wherever we only
+    need dimensions of large spanning sets without materializing one huge
+    matrix.
     """
 
     def __init__(self, length: int):
         self.length = length
-        self._pivots: dict[int, list] = {}
+        self._pivots: dict[int, dict] = {}
 
     @property
     def dim(self) -> int:
         return len(self._pivots)
 
-    def reduce(self, vec: list) -> list:
-        v = [Q(x) for x in vec]
-        if len(v) != self.length:
+    def _sparse(self, vec) -> dict:
+        if isinstance(vec, Mat):
+            if vec.rows * vec.cols != self.length:
+                raise ValueError("vector length mismatch")
+            return {i * vec.cols + j: v for (i, j), v in vec.items()}
+        if len(vec) != self.length:
             raise ValueError("vector length mismatch")
-        for col in sorted(self._pivots):
-            c = v[col]
-            if c:
-                prow = self._pivots[col]
-                v = [x - c * p for x, p in zip(v, prow)]
+        return _sparse_row(vec)
+
+    def _reduce(self, v: dict) -> dict:
+        """Subtract pivot rows in place until v is zero in every pivot column.
+
+        Pivot rows vanish in each other's pivot columns, so one pass over
+        the pivot columns v starts with suffices."""
+        for col in [c for c in v if c in self._pivots]:
+            _axpy(v, -v[col], self._pivots[col])
         return v
 
-    def add(self, vec: list) -> bool:
-        v = self.reduce(vec)
-        for col, c in enumerate(v):
-            if c:
-                inv = 1 / c
-                self._pivots[col] = [inv * x for x in v]
-                return True
-        return False
+    def _absorb(self, v: dict) -> bool:
+        """Reduce v (consumed) and keep it as a new pivot row if nonzero."""
+        v = self._reduce(v)
+        if not v:
+            return False
+        col = min(v)
+        inv = 1 / v[col]
+        v = {j: inv * x for j, x in v.items()}
+        for prow in self._pivots.values():
+            if col in prow:
+                _axpy(prow, -prow[col], v)
+        self._pivots[col] = v
+        return True
 
-    def contains(self, vec: list) -> bool:
-        return all(not x for x in self.reduce(vec))
+    def add(self, vec) -> bool:
+        return self._absorb(self._sparse(vec))
+
+    def contains(self, vec) -> bool:
+        return not self._reduce(self._sparse(vec))
 
 
 def span_dimension(vectors_or_mats) -> int:
-    """Dimension of the rational span of vectors (or flattened matrices)."""
+    """Dimension of the rational span of vectors (or row-major matrices)."""
     tracker = None
     for item in vectors_or_mats:
-        vec = item.flat() if isinstance(item, Mat) else list(item)
         if tracker is None:
-            tracker = SpanTracker(len(vec))
-        elif tracker.length != len(vec):
-            raise ValueError("shape mismatch in span_dimension")
-        tracker.add(vec)
+            tracker = SpanTracker(item.rows * item.cols if isinstance(item, Mat) else len(item))
+        tracker.add(item)
     return tracker.dim if tracker is not None else 0
 
 
@@ -313,7 +316,7 @@ def algebra_closure(gens, size: int) -> list:
     basis: list[Mat] = []
 
     def absorb(m: Mat) -> bool:
-        if tracker.add(m.flat()):
+        if tracker.add(m):
             basis.append(m)
             return True
         return False
@@ -338,16 +341,19 @@ def solve_columns(b: Mat, c: Mat) -> Mat:
     Used to restrict operators to invariant subspaces (columns of B).
     Raises ValueError if the system is inconsistent or underdetermined.
     """
-    aug = Mat.zeros(b.rows, b.cols + c.cols)
-    for i in range(b.rows):
-        aug.data[i][: b.cols] = b.data[i][:]
-        aug.data[i][b.cols :] = c.data[i][:]
-    r, rk, pivots = rref(aug)
+    if b.rows != c.rows:
+        raise ValueError(f"shape mismatch {b.shape} vs {c.shape}")
+    shift = b.cols
+    aug = [
+        {**brow, **{j + shift: v for j, v in crow.items()}}
+        for brow, crow in zip(b.data, c.data)
+    ]
+    r, rk, pivots = rref(Mat._of(b.rows, shift + c.cols, aug))
     x = Mat.zeros(b.cols, c.cols)
     for i, p in enumerate(pivots):
-        if p >= b.cols:
+        if p >= shift:
             raise ValueError("inconsistent system in solve_columns")
-        x.data[p] = r.data[i][b.cols :]
+        x.data[p] = {j - shift: v for j, v in r.data[i].items() if j >= shift}
     if len(pivots) < b.cols:
         raise ValueError("solve_columns requires full column rank")
     return x

@@ -18,7 +18,7 @@ from .linalg import (
     SpanTracker,
     inverse,
     kernel_basis,
-    rref,
+    lincomb,
     solve_columns,
     stack_rows,
 )
@@ -52,20 +52,18 @@ class GModule:
 
     def action_of(self, coords) -> Mat:
         """Action of the element with the given basis coordinates."""
-        out = Mat.zeros(self.dim, self.dim)
-        for c, a in zip(coords, self.actions):
-            if c:
-                out = out + a.scale(c)
-        return out
+        return lincomb(zip(coords, self.actions), self.dim, self.dim)
 
     def check_bracket_compatibility(self) -> bool:
         """action([x,y]) == [action(x), action(y)] on all basis pairs."""
         d = self.spec.dim
         for i in range(d):
             for j in range(d):
-                lhs = Mat.zeros(self.dim, self.dim)
-                for k, c in self.spec.bracket[(i, j)].items():
-                    lhs = lhs + self.actions[k].scale(c)
+                lhs = lincomb(
+                    ((c, self.actions[k]) for k, c in self.spec.bracket[(i, j)].items()),
+                    self.dim,
+                    self.dim,
+                )
                 if lhs != self.actions[i].commutator(self.actions[j]):
                     return False
         return True
@@ -84,7 +82,7 @@ class IsotypicComponent:
 
 
 def standard_module(spec: LieAlgebraSpec) -> GModule:
-    acts = [b.copy() for b in spec.basis]
+    acts = list(spec.basis)
     hw = (1,) + (0,) * (spec.n - 1) if spec.cartan_indices is not None else None
     return GModule(spec, spec.matrix_size, acts, 1, label="V", highest_weight=hw)
 
@@ -92,7 +90,7 @@ def standard_module(spec: LieAlgebraSpec) -> GModule:
 def trivial_module(spec: LieAlgebraSpec) -> GModule:
     one = Mat.zeros(1, 1)
     hw = (0,) * spec.n if spec.cartan_indices is not None else None
-    return GModule(spec, 1, [one.copy() for _ in spec.basis], 0, label="1", highest_weight=hw)
+    return GModule(spec, 1, [one] * spec.dim, 0, label="1", highest_weight=hw)
 
 
 def _promote(a: Mat, dims: list, factor: int) -> Mat:
@@ -105,18 +103,14 @@ def _promote(a: Mat, dims: list, factor: int) -> Mat:
         post *= d
     df = dims[factor]
     total = pre * df * post
-    out = Mat.zeros(total, total)
-    for r in range(df):
-        arow = a.data[r]
-        for c in range(df):
-            v = arow[c]
-            if v:
-                for p in range(pre):
-                    base_r = (p * df + r) * post
-                    base_c = (p * df + c) * post
-                    for q in range(post):
-                        out.data[base_r + q][base_c + q] = v
-    return out
+    entries = {}
+    for (r, c), v in a.items():
+        for p in range(pre):
+            base_r = (p * df + r) * post
+            base_c = (p * df + c) * post
+            for q in range(post):
+                entries[(base_r + q, base_c + q)] = v
+    return Mat.from_entries(total, total, entries)
 
 
 def tensor_module(factors: list) -> GModule:
@@ -129,17 +123,15 @@ def tensor_module(factors: list) -> GModule:
             raise ValueError("tensor factors over different Lie algebras")
     if len(factors) == 1:
         f = factors[0]
-        return GModule(spec, f.dim, [a.copy() for a in f.actions], f.weight_bound, f.label)
+        return GModule(spec, f.dim, list(f.actions), f.weight_bound, f.label)
     dims = [f.dim for f in factors]
     total = 1
     for d in dims:
         total *= d
-    actions = []
-    for b in range(spec.dim):
-        acc = Mat.zeros(total, total)
-        for i, f in enumerate(factors):
-            acc = acc + _promote(f.actions[b], dims, i)
-        actions.append(acc)
+    actions = [
+        lincomb(((ONE, _promote(f.actions[b], dims, i)) for i, f in enumerate(factors)), total, total)
+        for b in range(spec.dim)
+    ]
     bound = sum(f.weight_bound for f in factors)
     label = "⊗".join(f.label or "?" for f in factors)
     return GModule(spec, total, actions, bound, label)
@@ -299,11 +291,9 @@ def isotypic_decompose(module: GModule):
 
 def casimir_eigenvalue(spec: LieAlgebraSpec, irrep: GModule):
     """The exact scalar by which Σ_i e_i e^i acts on an irreducible module."""
-    total = Mat.zeros(irrep.dim, irrep.dim)
-    for i, dual in enumerate(spec.dual_basis):
-        dual_action = irrep.action_of(spec.coords(dual))
-        total = total + irrep.actions[i] * dual_action
-    c = total.data[0][0]
+    products = (a * irrep.action_of(spec.coords(d)) for a, d in zip(irrep.actions, spec.dual_basis))
+    total = lincomb(((ONE, m) for m in products), irrep.dim, irrep.dim)
+    c = total[0, 0]
     if total != Mat.identity(irrep.dim).scale(c):
         raise ValueError("Casimir operator is not scalar: module is not irreducible")
     return c
@@ -320,25 +310,18 @@ def _kernel_combinations(candidates: list, operator: Mat) -> list:
     """
     if not candidates:
         return []
-    commutators = [k.commutator(operator) for k in candidates]
     size = candidates[0].rows
-    rows = []
-    for p in range(size):
-        for q in range(size):
-            row = [c.data[p][q] for c in commutators]
-            if any(row):
-                rows.append(row)
-    if not rows:
+    # one linear condition (row) per matrix position where some commutator
+    # is nonzero, one column per candidate; the kernel ignores row order
+    row_of: dict = {}
+    entries = {}
+    for col, k in enumerate(candidates):
+        for pos, v in k.commutator(operator).items():
+            entries[(row_of.setdefault(pos, len(row_of)), col)] = v
+    if not row_of:
         return candidates
-    coeff_kernel = kernel_basis(Mat(rows))
-    out = []
-    for coeffs in coeff_kernel:
-        acc = Mat.zeros(size, size)
-        for c, k in zip(coeffs, candidates):
-            if c:
-                acc = acc + k.scale(c)
-        out.append(acc)
-    return out
+    coeff_matrix = Mat.from_entries(len(row_of), len(candidates), entries)
+    return [lincomb(zip(coeffs, candidates), size, size) for coeffs in kernel_basis(coeff_matrix)]
 
 
 def commutant_basis(actions: list, carrier: GModule | None = None) -> list:
@@ -377,9 +360,7 @@ def commutant_basis(actions: list, carrier: GModule | None = None) -> list:
         work_actions = actions
         t = None
 
-    combined = Mat.zeros(size, size)
-    for i, a in enumerate(work_actions):
-        combined = combined + a.scale(i + 1)
+    combined = lincomb(((i + 1, a) for i, a in enumerate(work_actions)), size, size)
     candidates = _kernel_combinations(candidates, combined)
     for a in work_actions:
         candidates = _kernel_combinations(candidates, a)

@@ -101,6 +101,15 @@ def check_ad_invariance(theta: InvariantTensor, spec: LieAlgebraSpec, params=Non
     )
 
 
+def _noncommuting_basis_element(op: Mat, em: EvaluationModule):
+    """First basis element y with [y, op] != 0 on the module, or None."""
+    one = Poly.constant(1)
+    for y in range(em.spec.dim):
+        if not em.basis_action(y, one).commutator(op).is_zero():
+            return y
+    return None
+
+
 def check_commutant(theta: InvariantTensor, polys, em: EvaluationModule, params=None):
     """[g, theta(P_1, ..., P_k)] = 0 on the evaluation module."""
     t0 = time.monotonic()
@@ -110,12 +119,7 @@ def check_commutant(theta: InvariantTensor, polys, em: EvaluationModule, params=
     params.setdefault("k", theta.k)
     params.setdefault("points", [str(p) for p in em.points])
     op = invariant_operator_matrix(theta, list(polys), em)
-    one = Poly.constant(1)
-    bad = None
-    for y in range(em.spec.dim):
-        if not em.basis_action(y, one).commutator(op).is_zero():
-            bad = y
-            break
+    bad = _noncommuting_basis_element(op, em)
     return _report(
         "commutant",
         params,
@@ -129,18 +133,23 @@ def check_commutant(theta: InvariantTensor, polys, em: EvaluationModule, params=
 # -- Casimir ---------------------------------------------------------------
 
 
-def casimir_scalar(spec: LieAlgebraSpec, mu, _cache={}):
-    """C_mu: the scalar of the Casimir on V(mu), via an independent build."""
+def casimir_scalar(spec: LieAlgebraSpec, mu, cache: dict):
+    """C_mu: the scalar of the Casimir on V(mu), via an independent build;
+    ``cache`` holds the scalars already computed, keyed by (family, n, mu)."""
     key = (spec.family, spec.n, tuple(mu))
-    if key not in _cache:
-        _cache[key] = casimir_eigenvalue(spec, build_irrep(spec, mu, sum(mu)))
-    return _cache[key]
+    if key not in cache:
+        cache[key] = casimir_eigenvalue(spec, build_irrep(spec, mu, sum(mu)))
+    return cache[key]
 
 
-def check_casimir_formula(em: EvaluationModule, p: Poly, q: Poly, params=None):
+def check_casimir_formula(
+    em: EvaluationModule, p: Poly, q: Poly, params=None, casimir_cache=None
+):
     """Omega(P, Q) acts on each isotypic component W[mu] by the two-point
-    scalar w1 z1 C_{l1} + w2 z2 C_{l2} + (w1 z2 + w2 z1)/2 (C_mu - C_{l1} - C_{l2})."""
+    scalar w1 z1 C_{l1} + w2 z2 C_{l2} + (w1 z2 + w2 z1)/2 (C_mu - C_{l1} - C_{l2}).
+    A sweep passes one ``casimir_cache`` to share the scalars C_mu between checks."""
     t0 = time.monotonic()
+    cache = {} if casimir_cache is None else casimir_cache
     if em.d != 2:
         raise ValueError("the two-point Casimir formula needs exactly two factors")
     if not em.has_distinct_points():
@@ -159,14 +168,14 @@ def check_casimir_formula(em: EvaluationModule, p: Poly, q: Poly, params=None):
 
     w1, w2 = p(em.points[0]), p(em.points[1])
     z1, z2 = q(em.points[0]), q(em.points[1])
-    c1 = casimir_scalar(spec, lams[0])
-    c2 = casimir_scalar(spec, lams[1])
+    c1 = casimir_scalar(spec, lams[0], cache)
+    c2 = casimir_scalar(spec, lams[1], cache)
     op = invariant_operator_matrix(casimir_tensor(spec), [p, q], em)
 
     observed = []
     ok = True
     for comp in isotypic_decompose(em.carrier):
-        cmu = casimir_scalar(spec, comp.mu)
+        cmu = casimir_scalar(spec, comp.mu, cache)
         scalar = w1 * z1 * c1 + w2 * z2 * c2 + Q(w1 * z2 + w2 * z1, 2) * (
             cmu - c1 - c2
         )
@@ -190,7 +199,7 @@ def check_casimir_formula(em: EvaluationModule, p: Poly, q: Poly, params=None):
 def place_permutation_matrix(perm: Permutation, n: int, k: int) -> Mat:
     """The place-permutation action on the k-th tensor power of C^n."""
     dim = n**k
-    out = Mat.zeros(dim, dim)
+    entries = {}
     inv = perm.inverse()
     for idx in itertools.product(range(n), repeat=k):
         tgt = tuple(idx[inv(j) - 1] for j in range(1, k + 1))
@@ -200,8 +209,8 @@ def place_permutation_matrix(perm: Permutation, n: int, k: int) -> Mat:
         c = 0
         for t in idx:
             c = c * n + t
-        out.data[r][c] = Q(1)
-    return out
+        entries[(r, c)] = Q(1)
+    return Mat.from_entries(dim, dim, entries)
 
 
 def transposition_preimage_matrix(tau, points, n: int, em: EvaluationModule) -> Mat:
@@ -308,7 +317,9 @@ def check_span_surjectivity(
     when that span falls short, one round of pairwise products is added.
     Products of current images are themselves current images, of the
     decomposable invariant tensors of twice the degree, so the extended set
-    still consists of FFT-current images only.
+    still consists of FFT-current images only.  Containment is checked too:
+    every retained image must commute with each basis action, and the
+    retained images span all images and their products.
     """
     t0 = time.monotonic()
     cap = _default_cap(em, degree_cap)
@@ -316,18 +327,26 @@ def check_span_surjectivity(
         raise ValueError("span check requires pairwise distinct points")
     expected = commutant_dimension(em.carrier)
     tracker = SpanTracker(em.dim * em.dim)
-    tracker.add(Mat.identity(em.dim).flat())
     images = [Mat.identity(em.dim)]
-    for img in fft_current_images(em, cap):
-        if tracker.add(img.flat()):
+    tracker.add(images[0])
+    kept_at = []  # enumeration index of each retained image after the identity
+    for i, img in enumerate(fft_current_images(em, cap)):
+        if tracker.add(img):
             # products of a spanning subset reach every pairwise product,
             # so only span-enlarging images need to be retained
             images.append(img)
+            kept_at.append(i)
+    stray = ""
+    for at, img in zip(kept_at, images[1:]):
+        y = _noncommuting_basis_element(img, em)
+        if y is not None:
+            stray = f"; image {at} does not commute with basis element {y}"
+            break
     direct = tracker.dim
     if direct < expected and include_products:
         for a in list(images):
             for b in list(images):
-                tracker.add((a * b).flat())
+                tracker.add(a * b)
     actual = tracker.dim
     params = dict(params or {})
     params.update(
@@ -341,7 +360,8 @@ def check_span_surjectivity(
             "product_extended": actual != direct,
         }
     )
-    return _report("span_surjectivity", params, actual == expected, expected, actual, t0)
+    passed = actual == expected and not stray
+    return _report("span_surjectivity", params, passed, expected, f"{actual}{stray}", t0)
 
 
 def _restricted_generators(em: EvaluationModule, hwv_basis: Mat, cap: int):
@@ -490,6 +510,7 @@ def run_acceptance_suite(seed: int = 0, profile: str = "desk"):
     rng = random.Random(seed)
     full = profile == "desk"
     reports: list[CheckReport] = []
+    casimir_cache: dict = {}
 
     def add(criterion: str, report: CheckReport):
         report.parameters["criterion"] = criterion
@@ -565,7 +586,9 @@ def run_acceptance_suite(seed: int = 0, profile: str = "desk"):
         em = EvaluationModule([V, V], [Q(0), Q(1)])
         add(
             "casimir_formula",
-            check_casimir_formula(em, _random_poly(rng, 2), _random_poly(rng, 2)),
+            check_casimir_formula(
+                em, _random_poly(rng, 2), _random_poly(rng, 2), casimir_cache=casimir_cache
+            ),
         )
     if full:
         spec = specs[(GL, 2)]
@@ -575,7 +598,9 @@ def run_acceptance_suite(seed: int = 0, profile: str = "desk"):
         )
         add(
             "casimir_formula",
-            check_casimir_formula(em, _random_poly(rng, 2), _random_poly(rng, 2)),
+            check_casimir_formula(
+                em, _random_poly(rng, 2), _random_poly(rng, 2), casimir_cache=casimir_cache
+            ),
         )
 
     # 4. Schur-Weyl transposition preimages, including composition.

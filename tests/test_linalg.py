@@ -14,15 +14,11 @@ from repcur.linalg import (
     solve_columns,
     span_dimension,
 )
-from repcur.rational import Q
+from repcur.rational import ONE, Q, ZERO
 
 
 def mat(rows):
-    m = Mat.zeros(len(rows), len(rows[0]))
-    for i, row in enumerate(rows):
-        for j, v in enumerate(row):
-            m.data[i][j] = Q(v)
-    return m
+    return Mat(rows)
 
 
 small_mats = st.lists(
@@ -40,6 +36,7 @@ def test_matrix_arithmetic():
     assert a.trace() == Q(5)
     assert a.transpose() == mat([[1, 3], [2, 4]])
     assert a.commutator(b) == a * b - b * a
+    assert mat([[1, 1]]) * mat([[1], [-1]]) == Mat.zeros(1, 1)  # cancellation
 
 
 def test_rref_pivots_and_rank():
@@ -111,3 +108,160 @@ def test_algebra_closure_full_matrix_algebra():
 def test_algebra_closure_commutative_case():
     d = mat([[1, 0], [0, 2]])
     assert len(algebra_closure([d], 2)) == 2  # I and d
+
+
+# -- sparse kernels against a plain list-of-lists reference ---------------
+
+nonzero = st.builds(Q, st.integers(1, 4) | st.integers(-4, -1), st.integers(1, 3))
+entries = st.just(ZERO) | nonzero
+
+
+@st.composite
+def sparse_mats(draw, rows=None, cols=None):
+    """Dense reference rows (and the column count) of a small rational
+    matrix: about half its entries zero, often one all-zero row and one
+    all-zero column, and shapes that may be empty."""
+    r = draw(st.integers(0, 4)) if rows is None else rows
+    c = draw(st.integers(0, 4)) if cols is None else cols
+    zero_rows = draw(st.sets(st.integers(0, max(r - 1, 0)), max_size=1))
+    zero_cols = draw(st.sets(st.integers(0, max(c - 1, 0)), max_size=1))
+    return [
+        [ZERO if i in zero_rows or j in zero_cols else draw(entries) for j in range(c)]
+        for i in range(r)
+    ], c
+
+
+def build(ref):
+    rows, c = ref
+    return Mat(rows) if rows else Mat.zeros(0, c)
+
+
+def dense(m):
+    assert all(v for _, v in m.items()), "a zero entry is stored"
+    return [[m[i, j] for j in range(m.cols)] for i in range(m.rows)]
+
+
+def ref_mul(a, b, inner, cols):
+    return [[sum((a[i][k] * b[k][j] for k in range(inner)), ZERO) for j in range(cols)]
+            for i in range(len(a))]
+
+
+def ref_rref(rows, cols):
+    """Textbook dense Gauss-Jordan, column by column."""
+    data = [list(r) for r in rows]
+    pivots, row = [], 0
+    for col in range(cols):
+        piv = next((i for i in range(row, len(data)) if data[i][col]), None)
+        if piv is None:
+            continue
+        data[row], data[piv] = data[piv], data[row]
+        inv = 1 / data[row][col]
+        data[row] = [inv * x for x in data[row]]
+        for i in range(len(data)):
+            if i != row and data[i][col]:
+                f = data[i][col]
+                data[i] = [x - f * p for x, p in zip(data[i], data[row])]
+        pivots.append(col)
+        row += 1
+    return data, pivots
+
+
+def ref_kernel(rows, cols):
+    r, pivots = ref_rref(rows, cols)
+    basis = []
+    for f in (j for j in range(cols) if j not in pivots):
+        v = [ZERO] * cols
+        v[f] = ONE
+        for i, p in enumerate(pivots):
+            v[p] = -r[i][f]
+        basis.append(v)
+    return basis
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_sparse_arithmetic_matches_dense_reference(data):
+    a_rows, c = data.draw(sparse_mats())
+    r = len(a_rows)
+    b_rows, _ = data.draw(sparse_mats(rows=r, cols=c))
+    k = data.draw(st.integers(0, 4))
+    m_rows, _ = data.draw(sparse_mats(rows=c, cols=k))
+    s = data.draw(entries)
+    a, b, m = build((a_rows, c)), build((b_rows, c)), build((m_rows, k))
+    assert dense(a + b) == [[x + y for x, y in zip(u, v)] for u, v in zip(a_rows, b_rows)]
+    assert dense(a - b) == [[x - y for x, y in zip(u, v)] for u, v in zip(a_rows, b_rows)]
+    assert dense(a.scale(s)) == [[s * x for x in u] for u in a_rows]
+    assert dense(a * m) == ref_mul(a_rows, m_rows, c, k)
+    assert dense(a.transpose()) == [[a_rows[i][j] for i in range(r)] for j in range(c)]
+    assert (a - a).is_zero() and (a + b) - b == a
+    assert a.shape == (r, c) and (a * m).shape == (r, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_mats())
+def test_sparse_rref_and_kernel_match_dense_reference(ref):
+    rows, c = ref
+    m = build(ref)
+    r, rk, pivots = rref(m)
+    want, want_pivots = ref_rref(rows, c)
+    assert dense(r) == want
+    assert pivots == want_pivots and rk == len(want_pivots)
+    assert kernel_basis(m) == ref_kernel(rows, c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_solve_columns_matches_dense_reference(data):
+    b_rows, c = data.draw(sparse_mats(cols=data.draw(st.integers(1, 3))))
+    k = data.draw(st.integers(0, 3))
+    c_rows, _ = data.draw(sparse_mats(rows=len(b_rows), cols=k))
+    b, rhs = build((b_rows, c)), build((c_rows, k))
+    aug, pivots = ref_rref([u + v for u, v in zip(b_rows, c_rows)], c + k)
+    if any(p >= c for p in pivots) or len(pivots) < c:
+        with pytest.raises(ValueError):
+            solve_columns(b, rhs)
+    else:
+        x = solve_columns(b, rhs)
+        assert dense(x) == [row[c:] for row in aug[:c]]
+        assert dense(b * x) == c_rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_span_tracker_matches_dense_rank(data):
+    n = data.draw(st.integers(0, 5))
+    vectors, _ = data.draw(sparse_mats(cols=n, rows=data.draw(st.integers(0, 6))))
+    probe = data.draw(sparse_mats(rows=1, cols=n))[0][0]
+    t = SpanTracker(n)
+    seen = []
+    for v in vectors:
+        rank_before = len(ref_rref(seen, n)[1])
+        seen.append(v)
+        assert t.add(v) == (len(ref_rref(seen, n)[1]) > rank_before)
+        assert t.dim == len(ref_rref(seen, n)[1])
+    assert t.contains(probe) == (len(ref_rref(seen + [probe], n)[1]) == t.dim)
+
+
+@settings(max_examples=40, deadline=None)
+@given(sparse_mats(rows=2, cols=3))
+def test_span_tracker_reads_matrices_row_major(ref):
+    m = build(ref)
+    t, u = SpanTracker(6), SpanTracker(6)
+    assert t.add(m) == u.add([x for row in ref[0] for x in row])
+    assert t.contains(m) and u.contains(m)
+    with pytest.raises(ValueError):
+        t.add(Mat.zeros(3, 3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(sparse_mats())
+def test_explicit_zeros_do_not_change_equality_or_hash(ref):
+    rows, c = ref
+    r = len(rows)
+    with_zeros = Mat.from_entries(r, c, {(i, j): rows[i][j] for i in range(r) for j in range(c)})
+    without = Mat.from_entries(r, c, {(i, j): v for (i, j), v in build(ref).items()})
+    assert with_zeros == without == build(ref)
+    assert hash(with_zeros) == hash(without)
+    assert all(v for _, v in with_zeros.items())
+    if r and c:
+        assert Mat.from_columns(list(map(list, zip(*rows))), r) == without

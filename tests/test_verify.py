@@ -2,9 +2,11 @@
 
 import pytest
 
+from repcur import verify
 from repcur.currents import EvaluationModule
 from repcur.invariants import Permutation, casimir_tensor, theta_sigma_gl
 from repcur.liealg import GL, SO, SP, build_lie_algebra
+from repcur.linalg import Mat
 from repcur.modules import build_irrep, standard_module
 from repcur.poly import Poly
 from repcur.rational import Q
@@ -111,6 +113,17 @@ def test_span_surjectivity(family, n, d, expected):
     r = check_span_surjectivity(em)
     assert r.passed
     assert r.actual == str(expected)
+
+
+def test_span_check_rejects_image_outside_commutant(em2, monkeypatch):
+    # the identity plus one non-commuting matrix span 2 dimensions, the
+    # commutant dimension of V (x) V, so only containment can catch it
+    bogus = Mat.from_entries(em2.dim, em2.dim, {(0, 1): Q(1)})
+    monkeypatch.setattr(verify, "fft_current_images", lambda em, cap: iter([bogus]))
+    r = check_span_surjectivity(em2)
+    assert r.status == "fail"
+    assert r.expected == "2"
+    assert r.actual.startswith("2; image 0 does not commute with basis element ")
 
 
 def test_span_needs_distinct_points(gl2):
