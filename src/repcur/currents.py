@@ -15,7 +15,7 @@ from .liealg import LieAlgebraSpec
 from .linalg import Mat, lincomb
 from .modules import GModule, _promote, tensor_module
 from .poly import Poly
-from .rational import Q, ZERO, ONE
+from .rational import Q, ZERO, ONE, exact
 
 
 @dataclass(frozen=True)
@@ -53,8 +53,8 @@ class InvariantTensor:
         """Hashable normal form (used to deduplicate proportional tensors)."""
         if not self.terms:
             return (self.k,)
-        lead = self.terms[0][0]
-        return (self.k,) + tuple((idx, c / lead) for c, idx in self.terms)
+        inv = ONE / self.terms[0][0]
+        return (self.k,) + tuple((idx, c * inv) for c, idx in self.terms)
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,7 @@ class EvaluationModule:
         if len(points) != len(factors):
             raise ValueError("need exactly one point per tensor factor")
         self.factors = list(factors)
-        self.points = [Q(p) for p in points]
+        self.points = [exact(p) for p in points]
         self.spec: LieAlgebraSpec = factors[0].spec
         self.carrier: GModule = tensor_module(self.factors)
         self.dims = [f.dim for f in self.factors]

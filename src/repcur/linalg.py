@@ -5,16 +5,23 @@ Everything here is exact.  A matrix stores each row as a {column: value}
 dict holding only its nonzero entries, so every kernel touches nonzeros
 only; a zero is never stored.  All operations return fresh objects
 (matrices are treated as immutable values once built).
+
+Entries enter a matrix through ``rational.exact``: an integral entry is a
+Python int and only an entry with a denominator is a ``Q``.  Sums and
+products of ints stay ints and take no gcd, so integral matrices (every
+gl current image at integer points) are assembled and multiplied in
+integer arithmetic.  Arithmetic may leave an integral ``Q`` in place (such
+as 1/2 + 1/2), which equals and hashes like the int.
 """
 
 from __future__ import annotations
 
-from .rational import Q, ZERO, ONE
+from .rational import ZERO, ONE, exact
 
 
 def _sparse_row(values) -> dict:
     """{index: value} over the nonzero entries of a dense sequence."""
-    return {j: q for j, q in enumerate(map(Q, values)) if q}
+    return {j: q for j, q in enumerate(map(exact, values)) if q}
 
 
 def _axpy(acc: dict, c, row: dict) -> None:
@@ -62,14 +69,14 @@ class Mat:
 
     @classmethod
     def identity(cls, n: int) -> "Mat":
-        return cls._of(n, n, [{i: ONE} for i in range(n)])
+        return cls._of(n, n, [{i: 1} for i in range(n)])
 
     @classmethod
     def from_entries(cls, rows: int, cols: int, entries) -> "Mat":
         """Build from a {(i, j): value} mapping."""
         m = cls.zeros(rows, cols)
         for (i, j), v in entries.items():
-            v = Q(v)
+            v = exact(v)
             if v:
                 m.data[i][j] = v
         return m
@@ -107,10 +114,10 @@ class Mat:
         return hash((self.rows, self.cols, tuple(frozenset(r.items()) for r in self.data)))
 
     def __add__(self, other: "Mat") -> "Mat":
-        return lincomb(((ONE, self), (ONE, other)), self.rows, self.cols)
+        return lincomb(((1, self), (1, other)), self.rows, self.cols)
 
     def __sub__(self, other: "Mat") -> "Mat":
-        return lincomb(((ONE, self), (-ONE, other)), self.rows, self.cols)
+        return lincomb(((1, self), (-1, other)), self.rows, self.cols)
 
     def scale(self, c) -> "Mat":
         return lincomb(((c, self),), self.rows, self.cols)
@@ -175,7 +182,7 @@ def lincomb(terms, rows: int, cols: int) -> Mat:
     for c, m in terms:
         if m.rows != rows or m.cols != cols:
             raise ValueError(f"shape mismatch {(rows, cols)} vs {m.shape}")
-        c = Q(c)
+        c = exact(c)
         if not c:
             continue
         for arow, mrow in zip(acc, m.data):
@@ -276,8 +283,10 @@ class SpanTracker:
         if not v:
             return False
         col = min(v)
-        inv = 1 / v[col]
-        v = {j: inv * x for j, x in v.items()}
+        lead = v[col]
+        if lead != 1:
+            inv = ONE / lead
+            v = {j: exact(inv * x) for j, x in v.items()}
         for prow in self._pivots.values():
             if col in prow:
                 _axpy(prow, -prow[col], v)
@@ -306,7 +315,9 @@ def algebra_closure(gens, size: int) -> list:
 
     Seeds with the identity and the generators, then repeatedly multiplies
     basis elements pairwise and re-spans until the dimension stabilizes;
-    terminates because the dimension is bounded by size**2.
+    terminates because the dimension is bounded by size**2.  A basis longer
+    than that means the reducer kept dependent matrices, and raises
+    RuntimeError instead of looping on.
     """
     gens = list(gens)
     for g in gens:
@@ -318,6 +329,8 @@ def algebra_closure(gens, size: int) -> list:
     def absorb(m: Mat) -> bool:
         if tracker.add(m):
             basis.append(m)
+            if len(basis) > size * size:
+                raise RuntimeError(f"closure basis exceeds {size}**2 matrices")
             return True
         return False
 

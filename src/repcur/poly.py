@@ -2,16 +2,18 @@
 
 from __future__ import annotations
 
-from .rational import Q, ZERO, ONE
+from .rational import Q, ZERO, ONE, exact
 
 
 class Poly:
-    """Polynomial with exact rational coefficients, ascending order."""
+    """Polynomial with exact rational coefficients, ascending order.
+
+    Coefficients pass through ``rational.exact``: ints where integral."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [Q(c) for c in coeffs]
+        cs = [exact(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -33,7 +35,7 @@ class Poly:
         return not self.coeffs
 
     def __call__(self, x):
-        x = Q(x)
+        x = exact(x)
         acc = ZERO
         for c in reversed(self.coeffs):
             acc = acc * x + c
@@ -52,7 +54,7 @@ class Poly:
         return self + other.scale(-1)
 
     def scale(self, c) -> "Poly":
-        c = Q(c)
+        c = exact(c)
         return Poly([c * x for x in self.coeffs])
 
     def __mul__(self, other: "Poly") -> "Poly":

@@ -5,6 +5,13 @@ never appears.  We use gmpy2's mpq when available (much faster) and fall
 back to the stdlib Fraction, which has an identical arithmetic surface for
 our purposes (construction from ints or "a/b" strings, str() rendering as
 "a/b" or "a").
+
+Matrix entries, polynomial coefficients and evaluation points go through
+``exact``: an integral value is kept as a Python int, which needs no gcd in
+sums and products, and only a value with a denominator is a ``Q``.  An int
+equals the ``Q`` of the same value and hashes alike, so mixed data compares
+and prints as all-``Q`` data would.  Since int / int is a float, a division
+needs a ``Q`` operand, as in ``ONE / x``.
 """
 
 from __future__ import annotations
@@ -23,6 +30,17 @@ def rat(value, den=None):
     if den is not None:
         return Q(value, den)
     return Q(value)
+
+
+def exact(v):
+    """v as an int when integral, else as a Q; a float raises TypeError."""
+    if type(v) is int:
+        return v
+    if type(v) is not Q:
+        if isinstance(v, float):
+            raise TypeError(f"floats are not exact rationals: {v!r}")
+        v = Q(v)
+    return int(v) if v.denominator == 1 else v
 
 
 def parse_rat(token: str):

@@ -364,18 +364,11 @@ def check_span_surjectivity(
     return _report("span_surjectivity", params, passed, expected, f"{actual}{stray}", t0)
 
 
-def _restricted_generators(em: EvaluationModule, hwv_basis: Mat, cap: int):
-    """Current images compressed to the highest-weight-vector block."""
-    gens = []
-    for img in fft_current_images(em, cap):
-        gens.append(solve_columns(hwv_basis, img * hwv_basis))
-    return gens
-
-
 def check_isotypic_irreducibility(em: EvaluationModule, degree_cap=None, params=None):
     """Burnside criterion on every multiplicity space: the restricted
     current images must generate the full multiplicity x multiplicity
-    matrix algebra."""
+    matrix algebra.  Each image is built once and compressed to the
+    highest-weight-vector block of every component."""
     t0 = time.monotonic()
     cap = _default_cap(em, degree_cap)
     params = dict(params or {})
@@ -388,11 +381,15 @@ def check_isotypic_irreducibility(em: EvaluationModule, degree_cap=None, params=
             "distinct_points": em.has_distinct_points(),
         }
     )
+    comps = isotypic_decompose(em.carrier)
+    restricted = [[] for _ in comps]
+    for img in fft_current_images(em, cap):
+        for gens, comp in zip(restricted, comps):
+            gens.append(solve_columns(comp.hwv_basis, img * comp.hwv_basis))
     expected_bits = []
     actual_bits = []
     ok = True
-    for comp in isotypic_decompose(em.carrier):
-        gens = _restricted_generators(em, comp.hwv_basis, cap)
+    for comp, gens in zip(comps, restricted):
         closure_dim = len(algebra_closure(gens, comp.multiplicity))
         want = comp.multiplicity**2
         expected_bits.append(f"mu={comp.mu}: {want}")
@@ -413,7 +410,8 @@ def check_cycle_generation(em: EvaluationModule, degree_cap=None, params=None):
     """The cycle currents alone generate the commutant algebra (gl only).
 
     Also records, informationally, the closure dimension when the degree
-    tuples are restricted to weakly increasing ones.
+    tuples are restricted to weakly increasing ones; that closure reuses
+    the images already built for the full one.
     """
     t0 = time.monotonic()
     if em.spec.family != GL:
@@ -423,18 +421,14 @@ def check_cycle_generation(em: EvaluationModule, degree_cap=None, params=None):
         raise ValueError("cycle generation requires pairwise distinct points")
     expected = commutant_dimension(em.carrier)
 
-    def closure_dim(sorted_only: bool) -> int:
-        gens = []
-        for j in range(1, em.d + 1):
-            th = theta_cycle_gl(j, em.spec.n)
-            for degs in itertools.product(range(cap + 1), repeat=j):
-                if sorted_only and list(degs) != sorted(degs):
-                    continue
-                polys = [Poly.monomial(m) for m in degs]
-                gens.append(invariant_operator_matrix(th, polys, em))
-        return len(algebra_closure(gens, em.dim))
-
-    actual = closure_dim(sorted_only=False)
+    images = []  # (degree tuple, image)
+    for j in range(1, em.d + 1):
+        th = theta_cycle_gl(j, em.spec.n)
+        for degs in itertools.product(range(cap + 1), repeat=j):
+            polys = [Poly.monomial(m) for m in degs]
+            images.append((degs, invariant_operator_matrix(th, polys, em)))
+    actual = len(algebra_closure([img for _, img in images], em.dim))
+    sorted_images = [img for degs, img in images if list(degs) == sorted(degs)]
     params = dict(params or {})
     params.update(
         {
@@ -442,7 +436,7 @@ def check_cycle_generation(em: EvaluationModule, degree_cap=None, params=None):
             "d": em.d,
             "points": [str(p) for p in em.points],
             "degree_cap": cap,
-            "sorted_tuple_closure_dim": closure_dim(sorted_only=True),
+            "sorted_tuple_closure_dim": len(algebra_closure(sorted_images, em.dim)),
         }
     )
     return _report("cycle_generation", params, actual == expected, expected, actual, t0)

@@ -6,6 +6,7 @@ frozen inline so regressions surface as explicit value diffs.
 """
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -137,11 +138,24 @@ def _stable(reports):
     return json.dumps(out, default=str, sort_keys=True)
 
 
-def test_criterion_9_determinism():
+# sha256 of _stable(run_acceptance_suite(0, "quick")): whether an entry is
+# held as an int or as a rational must not change any report
+QUICK_DIGEST = "4b084dc4246f8f1045a17542ffbcba4b19510fc66cbbdd7aa6197b8ff193784a"
+
+
+@pytest.fixture(scope="session")
+def quick():
+    return run_acceptance_suite(seed=0, profile="quick")
+
+
+def test_criterion_9_determinism(quick):
     """Two runs with the same seed produce identical reports (runtime aside)."""
-    a = run_acceptance_suite(seed=0, profile="quick")
     b = run_acceptance_suite(seed=0, profile="quick")
-    assert _stable(a) == _stable(b)
+    assert _stable(quick) == _stable(b)
+
+
+def test_quick_sweep_matches_frozen_digest(quick):
+    assert hashlib.sha256(_stable(quick).encode()).hexdigest() == QUICK_DIGEST
 
 
 def test_full_sweep_is_all_green(sweep):

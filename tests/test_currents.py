@@ -36,6 +36,12 @@ def test_point_count_must_match(gl2):
         EvaluationModule([v, v], [Q(0)])
 
 
+def test_float_points_are_rejected(gl2):
+    v = standard_module(gl2)
+    with pytest.raises(TypeError):
+        EvaluationModule([v, v], [0, 0.5])
+
+
 def test_basis_action_scales_by_point_values(em3):
     one = Poly.constant(1)
     t = Poly.monomial(1)

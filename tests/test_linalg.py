@@ -9,12 +9,13 @@ from repcur.linalg import (
     algebra_closure,
     inverse,
     kernel_basis,
+    lincomb,
     rank,
     rref,
     solve_columns,
     span_dimension,
 )
-from repcur.rational import ONE, Q, ZERO
+from repcur.rational import ONE, Q, ZERO, exact
 
 
 def mat(rows):
@@ -117,7 +118,7 @@ entries = st.just(ZERO) | nonzero
 
 
 @st.composite
-def sparse_mats(draw, rows=None, cols=None):
+def sparse_mats(draw, rows=None, cols=None, elements=entries):
     """Dense reference rows (and the column count) of a small rational
     matrix: about half its entries zero, often one all-zero row and one
     all-zero column, and shapes that may be empty."""
@@ -126,7 +127,7 @@ def sparse_mats(draw, rows=None, cols=None):
     zero_rows = draw(st.sets(st.integers(0, max(r - 1, 0)), max_size=1))
     zero_cols = draw(st.sets(st.integers(0, max(c - 1, 0)), max_size=1))
     return [
-        [ZERO if i in zero_rows or j in zero_cols else draw(entries) for j in range(c)]
+        [ZERO if i in zero_rows or j in zero_cols else draw(elements) for j in range(c)]
         for i in range(r)
     ], c
 
@@ -265,3 +266,109 @@ def test_explicit_zeros_do_not_change_equality_or_hash(ref):
     assert all(v for _, v in with_zeros.items())
     if r and c:
         assert Mat.from_columns(list(map(list, zip(*rows))), r) == without
+
+
+def test_algebra_closure_rejects_a_basis_longer_than_size_squared(monkeypatch):
+    # a reducer that keeps every matrix would otherwise loop without bound
+    monkeypatch.setattr(SpanTracker, "add", lambda self, vec: True)
+    e12 = mat([[0, 1], [0, 0]])
+    with pytest.raises(RuntimeError):
+        algebra_closure([e12], 2)
+
+
+# -- int and Q entries ------------------------------------------------------
+
+
+def test_exact_keeps_integral_values_as_ints():
+    assert type(exact(Q(4, 2))) is int and exact(Q(4, 2)) == 2
+    assert exact("3/2") == Q(3, 2) and type(exact("3/2")) is Q
+    assert type(exact(-7)) is int
+    with pytest.raises(TypeError):
+        exact(0.5)
+    with pytest.raises(TypeError):
+        Mat([[0.5]])
+
+
+ints = st.integers(-4, 4)
+mixed = ints | nonzero  # nonzero rationals include integral ones such as 2/1
+
+
+def as_q(m):
+    """m with every entry held as a Q, as an all-rational Mat stores it."""
+    return Mat._of(m.rows, m.cols, [{j: Q(v) for j, v in row.items()} for row in m.data])
+
+
+def assert_no_floats(*results):
+    for r in results:
+        values = [v for _, v in r.items()] if isinstance(r, Mat) else r
+        assert not any(isinstance(v, float) for v in values)
+
+
+def assert_same(got, want):
+    assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+    assert_no_floats(got, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_mixed_int_and_rational_entries_match_all_rational(data):
+    a_rows, c = data.draw(sparse_mats(elements=mixed))
+    r = len(a_rows)
+    b_rows, _ = data.draw(sparse_mats(rows=r, cols=c, elements=mixed))
+    m_rows, k = data.draw(sparse_mats(rows=c, elements=mixed))
+    s = data.draw(mixed)
+    a, b, m = build((a_rows, c)), build((b_rows, c)), build((m_rows, k))
+    qa, qb, qm = as_q(a), as_q(b), as_q(m)
+    assert_same(a * m, qa * qm)
+    assert_same(a + b, qa + qb)
+    assert_same(a - b, qa - qb)
+    assert_same(a.scale(s), qa.scale(Q(s)))
+    assert_same(lincomb([(s, a), (2, b)], r, c), lincomb([(Q(s), qa), (Q(2), qb)], r, c))
+    (ra, rk, pa), (rq, rkq, pq) = rref(a), rref(qa)
+    assert_same(ra, rq)
+    assert (rk, pa) == (rkq, pq)
+    ka, kq = kernel_basis(a), kernel_basis(qa)
+    assert ka == kq
+    assert_no_floats(*ka, *kq)
+    if r and c:
+        try:
+            x = solve_columns(a, b)
+        except ValueError:
+            with pytest.raises(ValueError):
+                solve_columns(qa, qb)
+        else:
+            assert_same(x, solve_columns(qa, qb))
+    t, u = SpanTracker(c), SpanTracker(c)
+    for i in range(r):
+        row, qrow = Mat._of(1, c, [a.data[i]]), Mat._of(1, c, [qa.data[i]])
+        assert t.add(row) == u.add(qrow)
+    assert t.dim == u.dim
+    for i in range(r):
+        row, qrow = Mat._of(1, c, [b.data[i]]), Mat._of(1, c, [qb.data[i]])
+        assert t.contains(row) == u.contains(qrow) == u.contains(row)
+    for p in t._pivots:
+        assert_no_floats(t._pivots[p].values(), u._pivots[p].values())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_integral_matrices_keep_int_entries(data):
+    """Sums and products of integral matrices take no rational arithmetic."""
+    a_rows, c = data.draw(sparse_mats(elements=ints))
+    r = len(a_rows)
+    b_rows, _ = data.draw(sparse_mats(rows=r, cols=c, elements=ints))
+    m_rows, k = data.draw(sparse_mats(rows=c, elements=ints))
+    s = data.draw(ints)
+    a, b, m = build((a_rows, c)), build((b_rows, c)), build((m_rows, k))
+    for result in (
+        a,
+        a * m,
+        a + b,
+        a - b,
+        a.scale(s),
+        a.scale(Q(s)),
+        lincomb([(Q(s), a), (Q(-6, 3), b)], r, c),
+        a.transpose(),
+        Mat.identity(r) * a,
+    ):
+        assert all(type(v) is int for _, v in result.items())

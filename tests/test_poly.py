@@ -42,6 +42,19 @@ def test_lagrange_interpolant():
         assert p(x) == v
 
 
+def test_float_coefficients_are_rejected():
+    with pytest.raises(TypeError):
+        Poly([0.1])
+    with pytest.raises(TypeError):
+        Poly([1, 2]).scale(0.5)
+
+
+def test_integral_coefficients_are_ints():
+    p = Poly([Q(4, 2), Q(1, 2), 3])
+    assert [type(c) for c in p.coeffs] == [int, Q, int]
+    assert p.coeffs == (Q(2), Q(1, 2), Q(3))
+
+
 def test_lagrange_rejects_repeated_points():
     with pytest.raises(ValueError):
         lagrange_interpolant([Q(0), Q(0)], [Q(1), Q(2)])
