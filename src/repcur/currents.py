@@ -15,7 +15,7 @@ from .liealg import LieAlgebraSpec
 from .linalg import Mat, lincomb
 from .modules import GModule, _promote, tensor_module
 from .poly import Poly
-from .rational import Q, ZERO, ONE, exact
+from .rational import ONE, exact
 
 
 @dataclass(frozen=True)
@@ -33,7 +33,7 @@ class InvariantTensor:
         return cls(k, items)
 
     def scale(self, c) -> "InvariantTensor":
-        c = Q(c)
+        c = exact(c)
         return InvariantTensor(
             self.k, tuple((c * a, idx) for a, idx in self.terms if c * a)
         )
@@ -43,7 +43,7 @@ class InvariantTensor:
             raise ValueError("tensor degree mismatch")
         acc = {}
         for c, idx in self.terms + other.terms:
-            acc[idx] = acc.get(idx, ZERO) + c
+            acc[idx] = acc.get(idx, 0) + c
         return InvariantTensor.from_dict(self.k, acc)
 
     def is_zero(self) -> bool:

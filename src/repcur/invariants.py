@@ -17,7 +17,7 @@ from .liealg import GL, SO, SP, LieAlgebraSpec, sign_function
 from .linalg import Mat
 from .currents import InvariantTensor
 from .poly import Poly
-from .rational import Q, ZERO, ONE
+from .rational import Q, exact
 
 
 class Permutation:
@@ -99,7 +99,7 @@ def casimir_tensor(spec: LieAlgebraSpec) -> InvariantTensor:
         for j, c in enumerate(spec.coords(dual)):
             if c:
                 key = (i, j)
-                acc[key] = acc.get(key, ZERO) + c
+                acc[key] = acc.get(key, 0) + c
     return InvariantTensor.from_dict(2, acc)
 
 
@@ -115,7 +115,7 @@ def theta_sigma_gl(sigma: Permutation, n: int) -> InvariantTensor:
         key = tuple(
             _gl_index(n, idx[j - 1], idx[sigma(j) - 1]) for j in range(1, k + 1)
         )
-        acc[key] = acc.get(key, ZERO) + ONE
+        acc[key] = acc.get(key, 0) + 1
     return InvariantTensor.from_dict(k, acc)
 
 
@@ -136,22 +136,42 @@ def _expand_factors(spec: LieAlgebraSpec, prefactor, factor_coords, acc: dict):
                 nxt.append((c * cb, key + (b,)))
         choices = nxt
     for c, key in choices:
-        acc[key] = acc.get(key, ZERO) + c
+        acc[key] = acc.get(key, 0) + c
 
 
 def _sparse_coords(spec: LieAlgebraSpec, m: Mat):
     return [(b, c) for b, c in enumerate(spec.coords(m)) if c]
 
 
-def theta_sigma_sp(sigma: Permutation, n: int, spec: LieAlgebraSpec | None = None):
+def sp_factor_table(spec: LieAlgebraSpec) -> dict:
+    """Spec coordinates of every symmetrized symplectic factor.
+
+    Maps slot values (a, b) to the sparse coordinates of
+    (1/2)(s(b) E_{a, 2n+1-b} + s(a) E_{b, 2n+1-a}); computing them verifies
+    that each factor lies in sp(2n).
+    """
+    n, N = spec.n, 2 * spec.n
+    half = Q(1, 2)
+    table = {}
+    for a in range(1, N + 1):
+        for b in range(1, N + 1):
+            m = Mat.from_entries(N, N, {(a - 1, N - b): half * sign_function(n, b)})
+            m = m + Mat.from_entries(N, N, {(b - 1, N - a): half * sign_function(n, a)})
+            table[(a, b)] = _sparse_coords(spec, m)
+    return table
+
+
+def theta_sigma_sp(
+    sigma: Permutation, n: int, spec: LieAlgebraSpec | None = None, factors=None
+):
     """The symmetrized symplectic FFT tensor for σ ∈ Σ_{2k}.
 
     Free indices run over the odd slots; each even slot holds the
     antidiagonal mirror of its predecessor, contributing the sign s of the
     free index (the mirrored basis vector carries that sign).  Each of the
-    k paired factors is symmetrized into sp(2n) via the form, giving
-    (1/2)(s(b) E_{a, 2n+1-b} + s(a) E_{b, 2n+1-a}) for slot values (a, b);
-    factors are verified to lie in sp(2n) during coordinate expansion.
+    k paired factors is symmetrized into sp(2n) via the form; ``factors``
+    is ``sp_factor_table(spec)``, built here when not given, so that
+    ``fft_tensors`` builds it once for all σ.
     """
     if sigma.k % 2:
         raise ValueError("symplectic tensors need a permutation of even degree")
@@ -160,30 +180,20 @@ def theta_sigma_sp(sigma: Permutation, n: int, spec: LieAlgebraSpec | None = Non
         from .liealg import build_lie_algebra
 
         spec = build_lie_algebra(SP, n)
+    if factors is None:
+        factors = sp_factor_table(spec)
     N = 2 * n
-    half = Q(1, 2)
-    factor_cache: dict = {}
-
-    def factor(a: int, b: int):
-        key = (a, b)
-        got = factor_cache.get(key)
-        if got is None:
-            m = Mat.from_entries(N, N, {(a - 1, N - b): half * sign_function(n, b)})
-            m = m + Mat.from_entries(N, N, {(b - 1, N - a): half * sign_function(n, a)})
-            got = _sparse_coords(spec, m)
-            factor_cache[key] = got
-        return got
 
     acc: dict = {}
     for free in itertools.product(range(1, N + 1), repeat=k):
         slots = [0] * (2 * k + 1)
-        coeff = ONE
+        coeff = 1
         for j, v in enumerate(free, start=1):
             slots[2 * j - 1] = v
             slots[2 * j] = N + 1 - v
             coeff *= sign_function(n, v)
         coords = [
-            factor(slots[sigma(2 * j - 1)], slots[sigma(2 * j)])
+            factors[slots[sigma(2 * j - 1)], slots[sigma(2 * j)]]
             for j in range(1, k + 1)
         ]
         _expand_factors(spec, coeff, coords, acc)
@@ -229,7 +239,7 @@ def psi_sigma_so(sigma: Permutation, n: int, spec: LieAlgebraSpec | None = None)
             factor(slots[sigma(2 * j - 1)], slots[sigma(2 * j)])
             for j in range(1, k + 1)
         ]
-        _expand_factors(spec, ONE, coords, acc)
+        _expand_factors(spec, 1, coords, acc)
     return InvariantTensor.from_dict(k, acc)
 
 
@@ -238,7 +248,8 @@ def fft_tensors(spec: LieAlgebraSpec, k: int):
     if spec.family == GL:
         return [theta_sigma_gl(s, spec.n) for s in all_permutations(k)]
     if spec.family == SP:
-        return [theta_sigma_sp(s, spec.n, spec) for s in all_permutations(2 * k)]
+        factors = sp_factor_table(spec)
+        return [theta_sigma_sp(s, spec.n, spec, factors) for s in all_permutations(2 * k)]
     if spec.family == SO:
         return [psi_sigma_so(s, spec.n, spec) for s in all_permutations(2 * k)]
     raise ValueError(f"unknown family {spec.family!r}")
@@ -254,7 +265,7 @@ def schur_weyl_polys(tau, points, k: int):
     r, s = tau
     if not (1 <= r < s <= k):
         raise ValueError(f"transposition indices must satisfy 1 <= r < s <= k, got {tau}")
-    pts = [Q(p) for p in points]
+    pts = [exact(p) for p in points]
     if len(pts) != k:
         raise ValueError(f"need {k} points, got {len(pts)}")
     if len(set(pts)) != len(pts):

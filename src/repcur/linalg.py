@@ -12,16 +12,58 @@ products of ints stay ints and take no gcd, so integral matrices (every
 gl current image at integer points) are assembled and multiplied in
 integer arithmetic.  Arithmetic may leave an integral ``Q`` in place (such
 as 1/2 + 1/2), which equals and hashes like the int.
+
+Row reduction is fraction-free.  The one reducer, ``SpanTracker``, clears
+the denominators of each incoming vector by their lcm, eliminates by
+cross-multiplying integer rows and keeps every pivot row primitive: int
+entries with gcd 1 and a positive lead.  Scaling a row never changes a
+span, so ranks and containment need no division; only ``rref`` divides,
+once per pivot row, when it returns the reduced form.
 """
 
 from __future__ import annotations
 
-from .rational import ZERO, ONE, exact
+from math import gcd, lcm
+
+from .rational import ONE, exact
 
 
 def _sparse_row(values) -> dict:
     """{index: value} over the nonzero entries of a dense sequence."""
     return {j: q for j, q in enumerate(map(exact, values)) if q}
+
+
+def _integral(v: dict) -> dict:
+    """v scaled by the lcm of its denominators: v itself when all ints."""
+    if all(type(x) is int for x in v.values()):
+        return v
+    den = lcm(*(x.denominator for x in v.values()))
+    return {j: int(x * den) for j, x in v.items()}
+
+
+def _make_primitive(v: dict, lead: int) -> None:
+    """Divide the int row v in place by the gcd of its entries, signed so
+    that its entry ``lead`` turns positive."""
+    g = gcd(*v.values())
+    if lead < 0:
+        g = -g
+    if g != 1:
+        for j in v:
+            v[j] //= g
+
+
+def _eliminate(v: dict, b: int, prow: dict, a: int) -> None:
+    """v <- (a·v - b·prow) / gcd(a, b) in place, for ints a > 0 and b.
+
+    With a the lead of prow and b the entry of v in that column, the
+    result vanishes in the column and stays integral."""
+    if a != 1:
+        g = gcd(a, b)
+        a, b = a // g, b // g
+        if a != 1:
+            for j in v:
+                v[j] *= a
+    _axpy(v, -b, prow)
 
 
 def _axpy(acc: dict, c, row: dict) -> None:
@@ -94,7 +136,7 @@ class Mat:
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.data[i].get(j, ZERO)
+        return self.data[i].get(j, 0)
 
     def items(self):
         """((i, j), value) over the nonzero entries, row by row."""
@@ -143,10 +185,10 @@ class Mat:
     def trace(self):
         if self.rows != self.cols:
             raise ValueError("trace of non-square matrix")
-        return sum((r.get(i, ZERO) for i, r in enumerate(self.data)), ZERO)
+        return sum(r.get(i, 0) for i, r in enumerate(self.data))
 
     def column(self, j: int) -> list:
-        return [r.get(j, ZERO) for r in self.data]
+        return [r.get(j, 0) for r in self.data]
 
     def columns(self) -> list:
         return [self.column(j) for j in range(self.cols)]
@@ -155,7 +197,7 @@ class Mat:
         """Matrix times column vector (a dense list)."""
         out = []
         for row in self.data:
-            s = ZERO
+            s = 0
             for j, a in row.items():
                 if vec[j]:
                     s += a * vec[j]
@@ -168,7 +210,7 @@ class Mat:
 
     def __repr__(self):
         body = "; ".join(
-            " ".join(str(r.get(j, ZERO)) for j in range(self.cols)) for r in self.data
+            " ".join(str(r.get(j, 0)) for j in range(self.cols)) for r in self.data
         )
         return f"Mat[{self.rows}x{self.cols}: {body}]"
 
@@ -193,15 +235,23 @@ def lincomb(terms, rows: int, cols: int) -> Mat:
 def rref(m: Mat):
     """Reduced row echelon form.
 
-    Returns (R, rank, pivot_columns).  Exact Gauss-Jordan with leading
-    pivots normalized to 1 and eliminated above and below; the result is
-    the unique RREF of m, whatever order the rows are reduced in.
+    Returns (R, rank, pivot_columns).  The rows are reduced fraction-free
+    by a ``SpanTracker``; each of its primitive pivot rows is divided by
+    its lead here, once, so the result is the unique RREF of m (leading
+    1s, zeros above and below), whatever order the rows are reduced in.
     """
     tracker = SpanTracker(m.cols)
     for row in m.data:
         tracker._absorb(dict(row))
     pivots = sorted(tracker._pivots)
-    data = [tracker._pivots[p] for p in pivots]
+    data = []
+    for p in pivots:
+        row = tracker._pivots[p]
+        lead = row[p]
+        if lead != 1:
+            inv = ONE / lead
+            row = {j: exact(inv * x) for j, x in row.items()}
+        data.append(row)
     data.extend({} for _ in range(m.rows - len(pivots)))
     return Mat._of(m.rows, m.cols, data), len(pivots), pivots
 
@@ -220,8 +270,8 @@ def kernel_basis(m: Mat) -> list:
     free = [j for j in range(m.cols) if j not in pivot_set]
     basis = []
     for f in free:
-        v = [ZERO] * m.cols
-        v[f] = ONE
+        v = [0] * m.cols
+        v[f] = 1
         for i, p in enumerate(pivots):
             v[p] = -r[i, f]
         basis.append(v)
@@ -245,7 +295,9 @@ class SpanTracker:
 
     Keeps a reduced echelon basis as sparse {index: value} pivot rows, each
     zero in every other pivot column; add() reports whether the vector
-    enlarged the span.  A vector is a dense list of length ``length`` or a
+    enlarged the span.  Pivot rows are primitive int rows (gcd 1, positive
+    lead) and are not normalized to a leading 1; ``rref`` does that on
+    output.  A vector is a dense list of length ``length`` or a
     Mat with rows * cols == length, read row-major.  Used wherever we only
     need dimensions of large spanning sets without materializing one huge
     matrix.
@@ -269,12 +321,16 @@ class SpanTracker:
         return _sparse_row(vec)
 
     def _reduce(self, v: dict) -> dict:
-        """Subtract pivot rows in place until v is zero in every pivot column.
+        """v scaled to ints, then eliminated against the pivot rows until it
+        is zero in every pivot column (in place once integral).
 
-        Pivot rows vanish in each other's pivot columns, so one pass over
-        the pivot columns v starts with suffices."""
+        Pivot rows vanish in each other's pivot columns, and scaling v keeps
+        its zeros, so one pass over the pivot columns v starts with
+        suffices."""
+        v = _integral(v)
         for col in [c for c in v if c in self._pivots]:
-            _axpy(v, -v[col], self._pivots[col])
+            prow = self._pivots[col]
+            _eliminate(v, v[col], prow, prow[col])
         return v
 
     def _absorb(self, v: dict) -> bool:
@@ -283,13 +339,13 @@ class SpanTracker:
         if not v:
             return False
         col = min(v)
+        _make_primitive(v, v[col])
         lead = v[col]
-        if lead != 1:
-            inv = ONE / lead
-            v = {j: exact(inv * x) for j, x in v.items()}
-        for prow in self._pivots.values():
-            if col in prow:
-                _axpy(prow, -prow[col], v)
+        for p, prow in self._pivots.items():
+            b = prow.get(col)
+            if b is not None:
+                _eliminate(prow, b, v, lead)
+                _make_primitive(prow, prow[p])
         self._pivots[col] = v
         return True
 

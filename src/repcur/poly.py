@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .rational import Q, ZERO, ONE, exact
+from .rational import Q, exact
 
 
 class Poly:
@@ -36,7 +36,7 @@ class Poly:
 
     def __call__(self, x):
         x = exact(x)
-        acc = ZERO
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
@@ -60,7 +60,7 @@ class Poly:
     def __mul__(self, other: "Poly") -> "Poly":
         if self.is_zero() or other.is_zero():
             return Poly()
-        out = [ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
@@ -92,7 +92,7 @@ def lagrange_interpolant(points, values) -> Poly:
 
     Points must be pairwise distinct rationals.
     """
-    pts = [Q(p) for p in points]
+    pts = [exact(p) for p in points]
     if len(set(pts)) != len(pts):
         raise ValueError("points must be pairwise distinct")
     out = Poly()

@@ -39,7 +39,7 @@ from .modules import (
     standard_module,
 )
 from .poly import Poly
-from .rational import Q, ZERO
+from .rational import Q, exact
 
 
 @dataclass
@@ -78,7 +78,7 @@ def ad_invariance_defect(theta: InvariantTensor, spec: LieAlgebraSpec):
             for pos, b in enumerate(idx):
                 for bnew, cb in spec.bracket[(y, b)].items():
                     key = idx[:pos] + (bnew,) + idx[pos + 1 :]
-                    acc[key] = acc.get(key, ZERO) + c * cb
+                    acc[key] = acc.get(key, 0) + c * cb
         if any(acc.values()):
             return y
     return None
@@ -209,7 +209,7 @@ def place_permutation_matrix(perm: Permutation, n: int, k: int) -> Mat:
         c = 0
         for t in idx:
             c = c * n + t
-        entries[(r, c)] = Q(1)
+        entries[(r, c)] = 1
     return Mat.from_entries(dim, dim, entries)
 
 
@@ -223,7 +223,7 @@ def transposition_preimage_matrix(tau, points, n: int, em: EvaluationModule) -> 
 
 def check_schur_weyl(tau, n: int, k: int, points, params=None):
     t0 = time.monotonic()
-    pts = [Q(p) for p in points]
+    pts = [exact(p) for p in points]
     if len(set(pts)) != len(pts):
         raise ValueError("points must be pairwise distinct")
     spec = build_lie_algebra(GL, n)
@@ -245,7 +245,7 @@ def check_schur_weyl(tau, n: int, k: int, points, params=None):
 def check_schur_weyl_composition(n: int, k: int, points, params=None):
     """Products of transposition preimages equal preimages of the products."""
     t0 = time.monotonic()
-    pts = [Q(p) for p in points]
+    pts = [exact(p) for p in points]
     spec = build_lie_algebra(GL, n)
     em = EvaluationModule([standard_module(spec)] * k, pts)
     taus = [(r, s) for r in range(1, k + 1) for s in range(r + 1, k + 1)]

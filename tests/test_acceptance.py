@@ -143,6 +143,11 @@ def _stable(reports):
 QUICK_DIGEST = "4b084dc4246f8f1045a17542ffbcba4b19510fc66cbbdd7aa6197b8ff193784a"
 
 
+# sha256 of _stable(run_acceptance_suite(0, "desk")): unlike quick, desk
+# covers gl(3), so(4) and the d = 3 spans
+DESK_DIGEST = "174275788f8bee3e2a112f645b72503f15b23f157925809ad8e492e35ce8dc25"
+
+
 @pytest.fixture(scope="session")
 def quick():
     return run_acceptance_suite(seed=0, profile="quick")
@@ -156,6 +161,10 @@ def test_criterion_9_determinism(quick):
 
 def test_quick_sweep_matches_frozen_digest(quick):
     assert hashlib.sha256(_stable(quick).encode()).hexdigest() == QUICK_DIGEST
+
+
+def test_desk_sweep_matches_frozen_digest(sweep):
+    assert hashlib.sha256(_stable(sweep).encode()).hexdigest() == DESK_DIGEST
 
 
 def test_full_sweep_is_all_green(sweep):

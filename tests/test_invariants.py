@@ -66,6 +66,7 @@ def test_gl_tensors_are_ad_invariant(n, k):
     spec = build_lie_algebra(GL, n)
     for th in fft_tensors(spec, k):
         assert ad_invariance_defect(th, spec) is None
+        assert all(type(c) is int for c, _ in th.terms)
 
 
 # -- sp tensors -----------------------------------------------------------
@@ -81,8 +82,9 @@ def test_sp_degree_one_tensors_vanish():
 @pytest.mark.parametrize("n,k", [(1, 2), (2, 2)])
 def test_sp_tensors_are_ad_invariant(n, k):
     spec = build_lie_algebra(SP, n)
-    for sigma in all_permutations(2 * k):
-        th = theta_sigma_sp(sigma, n, spec)
+    shared = fft_tensors(spec, k)  # one factor table for every sigma
+    for sigma, th in zip(all_permutations(2 * k), shared, strict=True):
+        assert th == theta_sigma_sp(sigma, n, spec)
         assert ad_invariance_defect(th, spec) is None
 
 
@@ -156,3 +158,8 @@ def test_schur_weyl_polys_validation():
         schur_weyl_polys((1, 2), [Q(0), Q(0)], 2)  # repeated points
     with pytest.raises(ValueError):
         schur_weyl_polys((1, 2), [Q(0)], 2)  # wrong count
+
+
+def test_schur_weyl_polys_rejects_float_points():
+    with pytest.raises(TypeError):
+        schur_weyl_polys((1, 2), [0.0, 0.5], 2)

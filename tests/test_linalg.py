@@ -1,5 +1,7 @@
 """Exact linear algebra: row reduction, kernels, spans, closures."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -330,6 +332,7 @@ def test_mixed_int_and_rational_entries_match_all_rational(data):
     ka, kq = kernel_basis(a), kernel_basis(qa)
     assert ka == kq
     assert_no_floats(*ka, *kq)
+    assert all(type(x) is int or x.denominator != 1 for v in ka for x in v)
     if r and c:
         try:
             x = solve_columns(a, b)
@@ -372,3 +375,77 @@ def test_integral_matrices_keep_int_entries(data):
         Mat.identity(r) * a,
     ):
         assert all(type(v) is int for _, v in result.items())
+
+
+# -- fraction-free elimination ----------------------------------------------
+
+wide = st.integers(-10**6, 10**6) | st.builds(
+    Q, st.integers(-10**6, 10**6), st.integers(1, 10**4)
+)
+
+
+@st.composite
+def wide_rows(draw, cols, max_rows=6):
+    """Rows of entries up to 10**6 with denominators up to 10**4, zeros
+    among them; some rows are wide combinations of earlier ones, so that
+    ranks fall short and dependent vectors occur."""
+    rows = []
+    for _ in range(draw(st.integers(0, max_rows))):
+        if rows and draw(st.booleans()):
+            row = [0] * cols
+            for earlier in rows:
+                c = draw(wide)
+                row = [x + c * y for x, y in zip(row, earlier)]
+        else:
+            row = [draw(st.just(0) | wide) for _ in range(cols)]
+        rows.append(row)
+    return rows
+
+
+def as_ref(rows):
+    return [[Q(x) for x in row] for row in rows]
+
+
+def assert_primitive_pivots(tracker):
+    """The reducer's invariant: int pivot rows, gcd 1, positive lead."""
+    for p, row in tracker._pivots.items():
+        assert row and all(type(x) is int for x in row.values())
+        assert min(row) == p and row[p] > 0
+        assert math.gcd(*row.values()) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_wide_entries_match_dense_reference(data):
+    c = data.draw(st.integers(1, 5))
+    rows = data.draw(wide_rows(c))
+    m = Mat(rows) if rows else Mat.zeros(0, c)
+    r, rk, pivots = rref(m)
+    want, want_pivots = ref_rref(as_ref(rows), c)
+    assert dense(r) == want
+    assert pivots == want_pivots and rk == len(want_pivots)
+    assert kernel_basis(m) == ref_kernel(as_ref(rows), c)
+
+    if rows:
+        k = data.draw(st.integers(0, 2))
+        x = Mat([[data.draw(wide) for _ in range(k)] for _ in range(c)])
+        if rk == c:
+            assert solve_columns(m, m * x) == x
+        else:
+            with pytest.raises(ValueError):
+                solve_columns(m, m * x)
+
+    t = SpanTracker(c)
+    for i, row in enumerate(rows):
+        rank_before = t.dim
+        assert t.add(row) == (len(ref_rref(as_ref(rows[: i + 1]), c)[1]) > rank_before)
+        assert_primitive_pivots(t)
+    assert t.dim == rk
+    probe = data.draw(wide_rows(c, max_rows=1)) or [[0] * c]
+    coeffs = [data.draw(wide) for _ in rows]
+    inside = [sum((a * row[j] for a, row in zip(coeffs, rows)), 0) for j in range(c)]
+    assert t.contains(inside)
+    grows = not t.contains(probe[0])
+    assert grows == (len(ref_rref(as_ref(rows + probe), c)[1]) > rk)
+    assert t.add(probe[0]) == grows and t.dim == rk + grows
+    assert_primitive_pivots(t)

@@ -53,6 +53,12 @@ def test_integral_coefficients_are_ints():
     p = Poly([Q(4, 2), Q(1, 2), 3])
     assert [type(c) for c in p.coeffs] == [int, Q, int]
     assert p.coeffs == (Q(2), Q(1, 2), Q(3))
+    assert type(Poly([2, -1, 3])(5)) is int
+
+
+def test_lagrange_rejects_float_points():
+    with pytest.raises(TypeError):
+        lagrange_interpolant([0.0, 0.5], [Q(1), Q(2)])
 
 
 def test_lagrange_rejects_repeated_points():

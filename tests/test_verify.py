@@ -102,6 +102,16 @@ def test_schur_weyl_composition():
     assert check_schur_weyl_composition(2, 3, [Q(0), Q(1), Q(2)]).passed
 
 
+def test_schur_weyl_rejects_float_points():
+    with pytest.raises(TypeError):
+        check_schur_weyl((1, 2), 2, 2, [0.0, 0.5])
+
+
+def test_schur_weyl_composition_rejects_float_points():
+    with pytest.raises(TypeError):
+        check_schur_weyl_composition(2, 2, [0.0, 0.5])
+
+
 @pytest.mark.parametrize(
     "family,n,d,expected",
     [(GL, 2, 2, 2), (GL, 2, 3, 5), (SP, 1, 2, 2), (SO, 3, 2, 3)],
