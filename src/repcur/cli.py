@@ -1,136 +1,79 @@
 """Command-line front end: run any verification check and emit JSON.
 
 Exit status is 0 when every requested check passes, 1 when any fails, and
-2 on usage errors.  --expect-fail inverts the 0/1 outcome for negative
-controls.  All numeric output is exact; rationals are rendered as "a/b"
-strings.
+2 when the input is rejected.  The parsers here only split the option
+strings; the library validates the input once, and every ValueError
+raised while a command runs (a malformed number, repeated points, wrong
+point, weight or polynomial counts, weights that are not dominant, a
+carrier over the REPCUR_MAX_DIM cap) becomes a usage error.  A library
+fault is a RuntimeError and keeps its traceback.  --expect-fail inverts
+the 0/1 outcome for negative controls.  All numeric output is exact;
+rationals are rendered as "a/b" strings.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import os
 import sys
 
 import click
 
 from . import verify
 from .currents import EvaluationModule
-from .invariants import Permutation, casimir_tensor, fft_tensors
-from .liealg import FAMILIES, GL, SO, SP, build_lie_algebra
-from .modules import build_irrep, is_dominant, standard_module
+from .invariants import casimir_tensor, fft_tensors
+from .liealg import FAMILIES, GL, SO, build_lie_algebra
+from .modules import build_irrep, standard_module
 from .poly import Poly
 from .rational import parse_rat
 
 
-MAX_DIM_ENV = "REPCUR_MAX_DIM"
-DEFAULT_MAX_DIM = 4096
-
-
-def _max_dim() -> int:
-    raw = os.environ.get(MAX_DIM_ENV)
-    if raw is None:
-        return DEFAULT_MAX_DIM
-    try:
-        return int(raw)
-    except ValueError:
-        raise click.UsageError(f"{MAX_DIM_ENV} must be an integer, got {raw!r}")
-
-
 def parse_points(text: str):
     """Comma-separated rationals, e.g. "0,1,3/2"."""
-    try:
-        return [parse_rat(tok.strip()) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    return [parse_rat(tok) for tok in text.split(",") if tok.strip()]
 
 
-def parse_weights(text: str, n: int, family: str = GL):
+def parse_polys(text: str):
+    """Coefficient lists (ascending), one per slot, ';'-separated: "0,1;1,1"."""
+    return [Poly(parse_rat(tok) for tok in chunk.split(",")) for chunk in text.split(";")]
+
+
+def parse_weights(text: str):
     """Semicolon-separated weights, each a comma list: "2,0;1,0"."""
-    out = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        try:
-            lam = tuple(int(tok) for tok in chunk.split(","))
-        except ValueError:
-            raise click.UsageError(f"weight entries must be integers: {chunk!r}")
-        if len(lam) != n:
-            raise click.UsageError(f"weight {lam} needs exactly {n} entries")
-        if not is_dominant(family, lam):
-            raise click.UsageError(f"weight not dominant: {lam}")
-        out.append(lam)
-    if not out:
-        raise click.UsageError("no weights given")
-    return out
+    return [
+        tuple(int(tok) for tok in chunk.split(","))
+        for chunk in text.split(";")
+        if chunk.strip()
+    ]
 
 
-def parse_transposition(text: str, k: int):
-    """Either "r,s" or cycle notation "(r s)"."""
-    text = text.strip()
-    if text.startswith("("):
-        body = text.strip("()").replace(",", " ")
-        parts = body.split()
-    else:
-        parts = [p.strip() for p in text.split(",")]
-    try:
-        vals = [int(p) for p in parts]
-    except ValueError:
-        raise click.UsageError(f"cannot parse transposition {text!r}")
-    if len(vals) != 2:
-        raise click.UsageError("a transposition needs exactly two indices")
-    r, s = sorted(vals)
-    if not (1 <= r < s <= k):
-        raise click.UsageError(
-            f"transposition indices must satisfy 1 <= r < s <= {k}, got {text!r}"
-        )
-    return (r, s)
+def parse_transposition(text: str):
+    """Either "r,s" or cycle notation "(r s)", as a sorted tuple."""
+    return tuple(sorted(int(tok) for tok in text.strip("() ").replace(",", " ").split()))
 
 
-def _resolve_cap(degree_cap: str, d: int):
-    if degree_cap == "auto":
-        # degree d-1 loses nothing: on d distinct points every polynomial
-        # agrees with its Lagrange interpolant of degree < d
-        return d - 1
-    try:
-        cap = int(degree_cap)
-    except ValueError:
-        raise click.UsageError(f'--degree-cap must be "auto" or an integer')
-    if cap < 0:
-        raise click.UsageError("--degree-cap must be non-negative")
-    return cap
+def _resolve_cap(degree_cap: str, d: int) -> int:
+    # degree d-1 loses nothing: on d distinct points every polynomial
+    # agrees with its Lagrange interpolant of degree < d
+    return d - 1 if degree_cap == "auto" else int(degree_cap)
 
 
-def _build_module(family: str, n: int, weights, points) -> EvaluationModule:
+def _build_module(family: str, n: int, points, weights=None) -> EvaluationModule:
+    """The evaluation module at the points; its factors are the irreps of the
+    ';'-separated weights, or the standard module at every point."""
     spec = build_lie_algebra(family, n)
-    factors = []
     std_weight = (1,) + (0,) * (n - 1)
-    for lam in weights:
-        if lam == std_weight and family in (GL, SP):
-            factors.append(standard_module(spec))
-        elif family == SO:
-            if lam != std_weight:
-                raise click.UsageError(
-                    "only the standard module is supported for the so family"
-                )
-            factors.append(standard_module(spec))
-        else:
-            factors.append(build_irrep(spec, lam, sum(lam)))
-    dim = 1
-    for f in factors:
-        dim *= f.dim
-    limit = _max_dim()
-    if dim > limit:
-        raise click.UsageError(
-            f"carrier dimension {dim} exceeds the limit {limit} "
-            f"(raise {MAX_DIM_ENV} to override)"
-        )
+    lams = [std_weight] * len(points) if weights is None else parse_weights(weights)
+    factors = [
+        standard_module(spec) if lam == std_weight else build_irrep(spec, lam, sum(lam))
+        for lam in lams
+    ]
     return EvaluationModule(factors, points)
 
 
-def _emit(reports, config, output):
+def _emit(reports, config, output, expect_fail: bool):
+    """Write the JSON report and exit 0 if every check passed, 1 otherwise
+    (the other way round with --expect-fail)."""
     payload = {
         "version": 1,
         "config": config,
@@ -142,13 +85,7 @@ def _emit(reports, config, output):
     else:
         with open(output, "w") as fh:
             fh.write(text + "\n")
-    return all(r.passed for r in reports)
-
-
-def _finish(ok: bool, expect_fail: bool):
-    if expect_fail:
-        ok = not ok
-    sys.exit(0 if ok else 1)
+    sys.exit(0 if all(r.passed for r in reports) != expect_fail else 1)
 
 
 def _family_option(f):
@@ -177,17 +114,24 @@ def _with_common(f):
     return f
 
 
+class _VerifyGroup(click.Group):
+    """Check commands: a ValueError from the library is a usage error."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ValueError as exc:
+            raise click.UsageError(str(exc)) from exc
+
+
 @click.group()
 def main():
     """Exact verification of current-algebra evaluation modules."""
 
 
-@main.group()
+@main.group("verify", cls=_VerifyGroup)
 def verify_group():
     """Run a verification check."""
-
-
-main.add_command(verify_group, name="verify")
 
 
 @verify_group.command("ad-invariance")
@@ -202,9 +146,8 @@ def ad_invariance_cmd(family, n, degree, output, expect_fail):
     for th in fft_tensors(spec, degree):
         if not th.is_zero():
             reports.append(verify.check_ad_invariance(th, spec))
-    ok = _emit(reports, {"command": "ad-invariance", "family": family, "n": n,
-                         "degree": degree}, output)
-    _finish(ok, expect_fail)
+    _emit(reports, {"command": "ad-invariance", "family": family, "n": n,
+                    "degree": degree}, output, expect_fail)
 
 
 @verify_group.command("commutant")
@@ -216,17 +159,10 @@ def ad_invariance_cmd(family, n, degree, output, expect_fail):
 @_with_common
 def commutant_cmd(family, n, points, polys, output, expect_fail):
     """The Casimir current commutes with the algebra action."""
-    pts = parse_points(points)
-    em = _build_module(family, n, [(1,) + (0,) * (n - 1)] * len(pts), pts)
-    ps = []
-    for chunk in polys.split(";"):
-        ps.append(Poly([parse_rat(t.strip()) for t in chunk.split(",")]))
-    if len(ps) != 2:
-        raise click.UsageError("the Casimir current takes exactly two polynomials")
-    reports = [verify.check_commutant(casimir_tensor(em.spec), ps, em)]
-    ok = _emit(reports, {"command": "commutant", "family": family, "n": n,
-                         "points": points, "polys": polys}, output)
-    _finish(ok, expect_fail)
+    em = _build_module(family, n, parse_points(points))
+    reports = [verify.check_commutant(casimir_tensor(em.spec), parse_polys(polys), em)]
+    _emit(reports, {"command": "commutant", "family": family, "n": n,
+                    "points": points, "polys": polys}, output, expect_fail)
 
 
 @verify_group.command("casimir")
@@ -238,28 +174,13 @@ def commutant_cmd(family, n, points, polys, output, expect_fail):
 @_with_common
 def casimir_cmd(family, n, weights, points, polys, output, expect_fail):
     """Two-point Casimir eigenvalues on each isotypic component."""
-    if family == SO:
-        raise click.UsageError("the casimir check needs a split Cartan (gl or sp)")
-    pts = parse_points(points)
-    if len(pts) != 2:
-        raise click.UsageError("the casimir check takes exactly two points")
-    if len(set(pts)) != len(pts):
-        raise click.UsageError("points must be pairwise distinct")
-    if weights is None:
-        lam = [(1,) + (0,) * (n - 1)] * 2
-    else:
-        lam = parse_weights(weights, n, family)
-    if len(lam) != 2:
-        raise click.UsageError("the casimir check takes exactly two weights")
-    em = _build_module(family, n, lam, pts)
-    ps = [Poly([parse_rat(t.strip()) for t in chunk.split(",")])
-          for chunk in polys.split(";")]
+    em = _build_module(family, n, parse_points(points), weights)
+    ps = parse_polys(polys)
     if len(ps) != 2:
-        raise click.UsageError("the casimir check takes exactly two polynomials")
-    reports = [verify.check_casimir_formula(em, ps[0], ps[1])]
-    ok = _emit(reports, {"command": "casimir", "family": family, "n": n,
-                         "weights": weights, "points": points, "polys": polys}, output)
-    _finish(ok, expect_fail)
+        raise ValueError(f"the casimir check takes exactly two polynomials, got {len(ps)}")
+    reports = [verify.check_casimir_formula(em, *ps)]
+    _emit(reports, {"command": "casimir", "family": family, "n": n, "weights": weights,
+                    "points": points, "polys": polys}, output, expect_fail)
 
 
 @verify_group.command("schur-weyl")
@@ -271,25 +192,17 @@ def casimir_cmd(family, n, weights, points, polys, output, expect_fail):
 def schur_weyl_cmd(n, k, points, tau, output, expect_fail):
     """Transposition preimages act as place permutations (gl only)."""
     pts = parse_points(points) if points else list(range(k))
-    if len(pts) != k:
-        raise click.UsageError(f"need {k} points, got {len(pts)}")
-    if len(set(pts)) != len(pts):
-        raise click.UsageError("points must be pairwise distinct")
-    if n**k > _max_dim():
-        raise click.UsageError(
-            f"carrier dimension {n**k} exceeds the limit {_max_dim()}"
-        )
-    reports = []
     if tau is not None:
-        reports.append(verify.check_schur_weyl(parse_transposition(tau, k), n, k, pts))
+        reports = [verify.check_schur_weyl(parse_transposition(tau), n, k, pts)]
     else:
-        for r in range(1, k + 1):
-            for s in range(r + 1, k + 1):
-                reports.append(verify.check_schur_weyl((r, s), n, k, pts))
+        reports = [
+            verify.check_schur_weyl((r, s), n, k, pts)
+            for r in range(1, k + 1)
+            for s in range(r + 1, k + 1)
+        ]
         reports.append(verify.check_schur_weyl_composition(n, k, pts))
-    ok = _emit(reports, {"command": "schur-weyl", "n": n, "k": k,
-                         "points": points, "tau": tau}, output)
-    _finish(ok, expect_fail)
+    _emit(reports, {"command": "schur-weyl", "n": n, "k": k,
+                    "points": points, "tau": tau}, output, expect_fail)
 
 
 @verify_group.command("span")
@@ -300,15 +213,11 @@ def schur_weyl_cmd(n, k, points, tau, output, expect_fail):
 @_with_common
 def span_cmd(family, n, points, degree_cap, output, expect_fail):
     """Current images span the commutant of the algebra action."""
-    pts = parse_points(points)
-    if len(set(pts)) != len(pts):
-        raise click.UsageError("points must be pairwise distinct")
-    em = _build_module(family, n, [(1,) + (0,) * (n - 1)] * len(pts), pts)
+    em = _build_module(family, n, parse_points(points))
     cap = _resolve_cap(degree_cap, em.d)
     reports = [verify.check_span_surjectivity(em, degree_cap=cap)]
-    ok = _emit(reports, {"command": "span", "family": family, "n": n,
-                         "points": points, "degree_cap": cap}, output)
-    _finish(ok, expect_fail)
+    _emit(reports, {"command": "span", "family": family, "n": n,
+                    "points": points, "degree_cap": cap}, output, expect_fail)
 
 
 @verify_group.command("irreducibility")
@@ -323,27 +232,15 @@ def span_cmd(family, n, points, degree_cap, output, expect_fail):
 def irreducibility_cmd(family, n, points, weights, degree_cap, isotypic,
                        output, expect_fail):
     """Evaluation-module irreducibility over the current algebra."""
-    pts = parse_points(points)
-    if weights is None:
-        lam = [(1,) + (0,) * (n - 1)] * len(pts)
-    else:
-        lam = parse_weights(weights, n, family)
-        if len(lam) != len(pts):
-            raise click.UsageError("need one weight per point")
-    em = _build_module(family, n, lam, pts)
+    em = _build_module(family, n, parse_points(points), weights)
     cap = _resolve_cap(degree_cap, em.d)
     reports = [verify.check_evaluation_irreducibility(em, degree_cap=cap)]
     do_isotypic = isotypic if isotypic is not None else family != SO
     if do_isotypic:
-        if family == SO:
-            raise click.UsageError(
-                "the isotypic check needs a split Cartan (gl or sp)"
-            )
         reports.append(verify.check_isotypic_irreducibility(em, degree_cap=cap))
-    ok = _emit(reports, {"command": "irreducibility", "family": family, "n": n,
-                         "points": points, "weights": weights,
-                         "degree_cap": cap}, output)
-    _finish(ok, expect_fail)
+    _emit(reports, {"command": "irreducibility", "family": family, "n": n,
+                    "points": points, "weights": weights,
+                    "degree_cap": cap}, output, expect_fail)
 
 
 @verify_group.command("cycle-generation")
@@ -353,15 +250,11 @@ def irreducibility_cmd(family, n, points, weights, degree_cap, isotypic,
 @_with_common
 def cycle_generation_cmd(n, points, degree_cap, output, expect_fail):
     """Cycle currents alone generate the commutant algebra (gl only)."""
-    pts = parse_points(points)
-    if len(set(pts)) != len(pts):
-        raise click.UsageError("points must be pairwise distinct")
-    em = _build_module(GL, n, [(1,) + (0,) * (n - 1)] * len(pts), pts)
+    em = _build_module(GL, n, parse_points(points))
     cap = _resolve_cap(degree_cap, em.d)
     reports = [verify.check_cycle_generation(em, degree_cap=cap)]
-    ok = _emit(reports, {"command": "cycle-generation", "n": n,
-                         "points": points, "degree_cap": cap}, output)
-    _finish(ok, expect_fail)
+    _emit(reports, {"command": "cycle-generation", "n": n,
+                    "points": points, "degree_cap": cap}, output, expect_fail)
 
 
 @verify_group.command("all")
@@ -372,8 +265,7 @@ def cycle_generation_cmd(n, points, degree_cap, output, expect_fail):
 def all_cmd(seed, profile, output, expect_fail):
     """The full acceptance sweep across families, sizes and controls."""
     reports = verify.run_acceptance_suite(seed=seed, profile=profile)
-    ok = _emit(reports, {"command": "all", "seed": seed, "profile": profile}, output)
-    _finish(ok, expect_fail)
+    _emit(reports, {"command": "all", "seed": seed, "profile": profile}, output, expect_fail)
 
 
 if __name__ == "__main__":

@@ -75,11 +75,14 @@ class EvaluationModule:
 
     def __init__(self, factors: list, points: list):
         if len(points) != len(factors):
-            raise ValueError("need exactly one point per tensor factor")
+            raise ValueError(
+                "need exactly one point per tensor factor "
+                f"(factors: {len(factors)}, points: {len(points)})"
+            )
         self.factors = list(factors)
         self.points = [exact(p) for p in points]
-        self.spec: LieAlgebraSpec = factors[0].spec
         self.carrier: GModule = tensor_module(self.factors)
+        self.spec: LieAlgebraSpec = self.carrier.spec
         self.dims = [f.dim for f in self.factors]
         self._factor_actions: dict = {}
         self._poly_cache: dict = {}

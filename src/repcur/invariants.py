@@ -262,9 +262,11 @@ def schur_weyl_polys(tau, points, k: int):
     with s in place of r.  Each has degree k and P_τ(p_d) = δ_{dr},
     Q_τ(p_d) = δ_{ds}.
     """
+    if len(tau) != 2 or not (1 <= tau[0] < tau[1] <= k):
+        raise ValueError(
+            f"transposition indices must satisfy 1 <= r < s <= {k}, got {tuple(tau)}"
+        )
     r, s = tau
-    if not (1 <= r < s <= k):
-        raise ValueError(f"transposition indices must satisfy 1 <= r < s <= k, got {tau}")
     pts = [exact(p) for p in points]
     if len(pts) != k:
         raise ValueError(f"need {k} points, got {len(pts)}")

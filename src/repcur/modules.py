@@ -10,6 +10,7 @@ Cartan) and enters only through tensor powers and commutant-based checks.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 from .liealg import GL, SO, SP, LieAlgebraSpec
@@ -25,6 +26,9 @@ from .linalg import (
 from .rational import Q, ZERO, ONE
 
 Weight = tuple  # integer tuple in epsilon-coordinates
+
+MAX_DIM_ENV = "REPCUR_MAX_DIM"
+DEFAULT_MAX_DIM = 4096
 
 
 def is_dominant(family: str, coords: Weight) -> bool:
@@ -114,20 +118,34 @@ def _promote(a: Mat, dims: list, factor: int) -> Mat:
 
 
 def tensor_module(factors: list) -> GModule:
-    """Tensor product with action x ↦ Σ_i 1⊗...⊗action_i(x)⊗...⊗1."""
+    """Tensor product with action x ↦ Σ_i 1⊗...⊗action_i(x)⊗...⊗1.
+
+    The carrier dimension is capped by the environment variable
+    REPCUR_MAX_DIM (default 4096), checked before any action is built.
+    """
     if not factors:
         raise ValueError("tensor_module needs at least one factor")
     spec = factors[0].spec
     for f in factors:
         if f.spec is not spec and f.spec != spec:
             raise ValueError("tensor factors over different Lie algebras")
+    raw = os.environ.get(MAX_DIM_ENV, str(DEFAULT_MAX_DIM)).strip()
+    if not raw.isdigit():
+        raise ValueError(f"{MAX_DIM_ENV} must be a non-negative integer, got {raw!r}")
+    limit = int(raw)
+    dims = [f.dim for f in factors]
+    total = 1
+    for i, d in enumerate(dims, 1):
+        total *= d
+        if total > limit:  # stop early: a long product is slow and unprintable
+            at_least = "at least " if i < len(dims) else ""
+            raise ValueError(
+                f"carrier dimension {at_least}{total} exceeds the limit {limit} "
+                f"(raise {MAX_DIM_ENV} to override)"
+            )
     if len(factors) == 1:
         f = factors[0]
         return GModule(spec, f.dim, list(f.actions), f.weight_bound, f.label)
-    dims = [f.dim for f in factors]
-    total = 1
-    for d in dims:
-        total *= d
     actions = [
         lincomb(((ONE, _promote(f.actions[b], dims, i)) for i, f in enumerate(factors)), total, total)
         for b in range(spec.dim)
@@ -189,7 +207,7 @@ def weight_decomposition(module: GModule, basis_cols: Mat | None = None):
                     new_pieces.append((wt + (c,), sub))
                     found += sub.cols
             if found != cols.cols:
-                raise ValueError("Cartan action not diagonalizable in bound range")
+                raise RuntimeError("Cartan action not diagonalizable in bound range")
         pieces = new_pieces
     return pieces
 
@@ -226,6 +244,8 @@ def build_irrep(spec: LieAlgebraSpec, lam: Weight, m: int) -> GModule:
     """
     _require_weights(spec, "build_irrep")
     lam = tuple(int(c) for c in lam)
+    if len(lam) != len(spec.cartan_indices):
+        raise ValueError(f"weight {lam} needs exactly {len(spec.cartan_indices)} entries")
     if not is_dominant(spec.family, lam):
         raise ValueError(f"weight {lam} not dominant for {spec.family}")
     total = sum(lam)
@@ -276,15 +296,15 @@ def isotypic_decompose(module: GModule):
     covered = 0
     for wt, cols in weight_decomposition(module, hwv_all):
         if not is_dominant(spec.family, wt):
-            raise ValueError(f"non-dominant highest weight {wt} found")
+            raise RuntimeError(f"non-dominant highest weight {wt} found")
         comp_basis = _lowering_closure(module, cols)
         mult = cols.cols
         if comp_basis.cols % mult:
-            raise ValueError("component dimension not divisible by multiplicity")
+            raise RuntimeError("component dimension not divisible by multiplicity")
         components.append(IsotypicComponent(wt, mult, cols, comp_basis))
         covered += comp_basis.cols
     if covered != module.dim:
-        raise ValueError("isotypic components do not exhaust the module")
+        raise RuntimeError("isotypic components do not exhaust the module")
     components.sort(key=lambda c: c.mu, reverse=True)
     return components
 
@@ -324,11 +344,12 @@ def _kernel_combinations(candidates: list, operator: Mat) -> list:
     return [lincomb(zip(coeffs, candidates), size, size) for coeffs in kernel_basis(coeff_matrix)]
 
 
-def commutant_basis(actions: list, carrier: GModule | None = None) -> list:
+def commutant_basis(actions: list, carrier: GModule) -> list:
     """Basis of {M : [M, A] = 0 for every A in actions}.
 
-    When ``carrier`` has a rational split Cartan, the search is seeded from
-    the weight-space block structure (a commuting M preserves every weight
+    ``carrier`` is the g-module the actions act on, and its g-action must be
+    among them.  When it has a rational split Cartan, the search is seeded
+    from the weight-space block structure (a commuting M preserves every weight
     space), which keeps the linear systems small.  A combined operator is
     intersected first so later intersections run in low dimension.
     """
@@ -337,7 +358,7 @@ def commutant_basis(actions: list, carrier: GModule | None = None) -> list:
     size = actions[0].rows
 
     candidates: list[Mat] = []
-    if carrier is not None and carrier.spec.cartan_indices is not None:
+    if carrier.spec.cartan_indices is not None:
         pieces = weight_decomposition(carrier)
         cols = []
         for _, piece in pieces:

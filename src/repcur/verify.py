@@ -4,14 +4,19 @@ Each check returns a CheckReport whose status depends only on rational
 equalities and dimension counts; there are no tolerances anywhere.
 Negative controls (a non-invariant probe tensor, coincident evaluation
 points) are first-class so that sign-convention drift fails loudly.
+
+Every check is a body decorated with ``_check``, the one runner: the body
+returns ``(params, passed, expected, actual)`` and the runner times it and
+builds the report.  Invalid input raises ``ValueError`` before a verdict.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .currents import (
     EvaluationModule,
@@ -20,7 +25,6 @@ from .currents import (
 )
 from .invariants import (
     Permutation,
-    all_permutations,
     casimir_tensor,
     fft_tensors,
     schur_weyl_polys,
@@ -30,7 +34,6 @@ from .invariants import (
 from .liealg import GL, SO, SP, LieAlgebraSpec, build_lie_algebra
 from .linalg import Mat, SpanTracker, algebra_closure, solve_columns
 from .modules import (
-    GModule,
     build_irrep,
     casimir_eigenvalue,
     commutant_basis,
@@ -39,7 +42,7 @@ from .modules import (
     standard_module,
 )
 from .poly import Poly
-from .rational import Q, exact
+from .rational import Q
 
 
 @dataclass
@@ -56,15 +59,40 @@ class CheckReport:
         return self.status == "pass"
 
 
-def _report(name, params, passed, expected, actual, t0) -> CheckReport:
-    return CheckReport(
-        check_name=name,
-        parameters=params,
-        status="pass" if passed else "fail",
-        expected=str(expected),
-        actual=str(actual),
-        runtime_ms=int((time.monotonic() - t0) * 1000),
-    )
+def _check(name: str):
+    """Turn a check body into a check: the body returns
+    ``(params, passed, expected, actual)``; the clock runs from the call to
+    the verdict."""
+
+    def runner(body):
+        @functools.wraps(body)
+        def check(*args, **kwargs) -> CheckReport:
+            t0 = time.monotonic()
+            params, passed, expected, actual = body(*args, **kwargs)
+            return CheckReport(
+                check_name=name,
+                parameters=params,
+                status="pass" if passed else "fail",
+                expected=str(expected),
+                actual=str(actual),
+                runtime_ms=int((time.monotonic() - t0) * 1000),
+            )
+
+        return check
+
+    return runner
+
+
+def _describe(em: EvaluationModule, *keys) -> dict:
+    """The named parameters of an evaluation module, in the order given."""
+    known = {
+        "family": em.spec.family,
+        "n": em.spec.n,
+        "d": em.d,
+        "points": [str(p) for p in em.points],
+        "distinct_points": em.has_distinct_points(),
+    }
+    return {key: known[key] for key in keys}
 
 
 # -- Lemma-level checks ---------------------------------------------------
@@ -84,20 +112,35 @@ def ad_invariance_defect(theta: InvariantTensor, spec: LieAlgebraSpec):
     return None
 
 
-def check_ad_invariance(theta: InvariantTensor, spec: LieAlgebraSpec, params=None):
-    t0 = time.monotonic()
-    params = dict(params or {})
-    params.setdefault("family", spec.family)
-    params.setdefault("n", spec.n)
-    params.setdefault("k", theta.k)
+@_check("ad_invariance")
+def check_ad_invariance(theta: InvariantTensor, spec: LieAlgebraSpec):
     defect = ad_invariance_defect(theta, spec)
-    return _report(
-        "ad_invariance",
-        params,
+    return (
+        {"family": spec.family, "n": spec.n, "k": theta.k},
         defect is None,
         "[y, theta] = 0 for every basis y",
         "holds" if defect is None else f"nonzero against basis element {defect}",
-        t0,
+    )
+
+
+@_check("ad_invariance_family")
+def check_ad_invariance_family(spec: LieAlgebraSpec, k: int):
+    """Every nonzero FFT tensor of degree k is ad-invariant; stops at the
+    first defect, so ``tensors`` counts the tensors examined."""
+    bad = None
+    count = 0
+    for th in fft_tensors(spec, k):
+        if th.is_zero():
+            continue
+        count += 1
+        bad = ad_invariance_defect(th, spec)
+        if bad is not None:
+            break
+    return (
+        {"family": spec.family, "n": spec.n, "k": k, "tensors": count},
+        bad is None,
+        "all FFT tensors annihilated by the adjoint action",
+        "holds" if bad is None else f"defect at basis {bad}",
     )
 
 
@@ -110,23 +153,17 @@ def _noncommuting_basis_element(op: Mat, em: EvaluationModule):
     return None
 
 
-def check_commutant(theta: InvariantTensor, polys, em: EvaluationModule, params=None):
+@_check("commutant")
+def check_commutant(theta: InvariantTensor, polys, em: EvaluationModule):
     """[g, theta(P_1, ..., P_k)] = 0 on the evaluation module."""
-    t0 = time.monotonic()
-    params = dict(params or {})
-    params.setdefault("family", em.spec.family)
-    params.setdefault("n", em.spec.n)
-    params.setdefault("k", theta.k)
-    params.setdefault("points", [str(p) for p in em.points])
+    params = {**_describe(em, "family", "n"), "k": theta.k, **_describe(em, "points")}
     op = invariant_operator_matrix(theta, list(polys), em)
     bad = _noncommuting_basis_element(op, em)
-    return _report(
-        "commutant",
+    return (
         params,
         bad is None,
         "operator commutes with every basis action",
         "commutes" if bad is None else f"nonzero commutator with basis element {bad}",
-        t0,
     )
 
 
@@ -142,13 +179,11 @@ def casimir_scalar(spec: LieAlgebraSpec, mu, cache: dict):
     return cache[key]
 
 
-def check_casimir_formula(
-    em: EvaluationModule, p: Poly, q: Poly, params=None, casimir_cache=None
-):
+@_check("casimir_formula")
+def check_casimir_formula(em: EvaluationModule, p: Poly, q: Poly, casimir_cache=None):
     """Omega(P, Q) acts on each isotypic component W[mu] by the two-point
     scalar w1 z1 C_{l1} + w2 z2 C_{l2} + (w1 z2 + w2 z1)/2 (C_mu - C_{l1} - C_{l2}).
     A sweep passes one ``casimir_cache`` to share the scalars C_mu between checks."""
-    t0 = time.monotonic()
     cache = {} if casimir_cache is None else casimir_cache
     if em.d != 2:
         raise ValueError("the two-point Casimir formula needs exactly two factors")
@@ -156,15 +191,15 @@ def check_casimir_formula(
         raise ValueError("points must be distinct")
     lams = [f.highest_weight for f in em.factors]
     if any(l is None for l in lams):
-        raise ValueError("factors must carry highest weights")
+        raise ValueError("the Casimir formula needs factors with highest weights (gl or sp)")
     spec = em.spec
-    params = dict(params or {})
-    params.setdefault("family", spec.family)
-    params.setdefault("n", spec.n)
-    params.setdefault("weights", [str(l) for l in lams])
-    params.setdefault("points", [str(pt) for pt in em.points])
-    params.setdefault("P", list(map(str, p.coeffs)))
-    params.setdefault("Q", list(map(str, q.coeffs)))
+    params = {
+        **_describe(em, "family", "n"),
+        "weights": [str(l) for l in lams],
+        **_describe(em, "points"),
+        "P": list(map(str, p.coeffs)),
+        "Q": list(map(str, q.coeffs)),
+    }
 
     w1, w2 = p(em.points[0]), p(em.points[1])
     z1, z2 = q(em.points[0]), q(em.points[1])
@@ -183,13 +218,11 @@ def check_casimir_formula(
         if op * basis != basis.scale(scalar):
             ok = False
         observed.append(f"mu={comp.mu}: {scalar}")
-    return _report(
-        "casimir_formula",
+    return (
         params,
         ok,
         "; ".join(observed),
         "; ".join(observed) if ok else "operator deviates from the scalar",
-        t0,
     )
 
 
@@ -213,45 +246,38 @@ def place_permutation_matrix(perm: Permutation, n: int, k: int) -> Mat:
     return Mat.from_entries(dim, dim, entries)
 
 
-def transposition_preimage_matrix(tau, points, n: int, em: EvaluationModule) -> Mat:
-    """Matrix of Sum_ij E_ij(P_tau) E_ji(Q_tau) on the evaluation module."""
-    k = len(points)
-    p_tau, q_tau = schur_weyl_polys(tau, points, k)
-    swap_tensor = theta_sigma_gl(Permutation((2, 1)), n)
+def _standard_power(n: int, k: int, points) -> EvaluationModule:
+    """The k-th tensor power of the standard gl(n) module at the points."""
+    return EvaluationModule([standard_module(build_lie_algebra(GL, n))] * k, points)
+
+
+def transposition_preimage_matrix(tau, em: EvaluationModule) -> Mat:
+    """Matrix of Sum_ij E_ij(P_tau) E_ji(Q_tau) on a power of the standard
+    gl(n) module; ``schur_weyl_polys`` rejects coincident points."""
+    p_tau, q_tau = schur_weyl_polys(tau, em.points, em.d)
+    swap_tensor = theta_sigma_gl(Permutation((2, 1)), em.spec.n)
     return invariant_operator_matrix(swap_tensor, [p_tau, q_tau], em)
 
 
-def check_schur_weyl(tau, n: int, k: int, points, params=None):
-    t0 = time.monotonic()
-    pts = [exact(p) for p in points]
-    if len(set(pts)) != len(pts):
-        raise ValueError("points must be pairwise distinct")
-    spec = build_lie_algebra(GL, n)
-    em = EvaluationModule([standard_module(spec)] * k, pts)
-    params = dict(params or {})
-    params.update({"n": n, "k": k, "tau": list(tau), "points": [str(p) for p in pts]})
-    got = transposition_preimage_matrix(tau, pts, n, em)
+@_check("schur_weyl")
+def check_schur_weyl(tau, n: int, k: int, points):
+    em = _standard_power(n, k, points)
+    got = transposition_preimage_matrix(tau, em)
     want = place_permutation_matrix(Permutation.transposition(k, *tau), n, k)
-    return _report(
-        "schur_weyl",
-        params,
+    return (
+        {"n": n, "k": k, "tau": list(tau), **_describe(em, "points")},
         got == want,
         f"place permutation matrix of {tuple(tau)}",
         "matches entrywise" if got == want else "differs",
-        t0,
     )
 
 
-def check_schur_weyl_composition(n: int, k: int, points, params=None):
+@_check("schur_weyl_composition")
+def check_schur_weyl_composition(n: int, k: int, points):
     """Products of transposition preimages equal preimages of the products."""
-    t0 = time.monotonic()
-    pts = [exact(p) for p in points]
-    spec = build_lie_algebra(GL, n)
-    em = EvaluationModule([standard_module(spec)] * k, pts)
+    em = _standard_power(n, k, points)
     taus = [(r, s) for r in range(1, k + 1) for s in range(r + 1, k + 1)]
-    images = {
-        tau: transposition_preimage_matrix(tau, pts, n, em) for tau in taus
-    }
+    images = {tau: transposition_preimage_matrix(tau, em) for tau in taus}
     ok = True
     for t1 in taus:
         for t2 in taus:
@@ -260,15 +286,11 @@ def check_schur_weyl_composition(n: int, k: int, points, params=None):
             )
             if images[t1] * images[t2] != place_permutation_matrix(composed, n, k):
                 ok = False
-    params = dict(params or {})
-    params.update({"n": n, "k": k, "points": [str(p) for p in pts]})
-    return _report(
-        "schur_weyl_composition",
-        params,
+    return (
+        {"n": n, "k": k, **_describe(em, "points")},
         ok,
         "preimage products realize composed permutations",
         "holds" if ok else "violated",
-        t0,
     )
 
 
@@ -276,7 +298,10 @@ def check_schur_weyl_composition(n: int, k: int, points, params=None):
 
 
 def _default_cap(em: EvaluationModule, degree_cap) -> int:
-    return em.d - 1 if degree_cap is None else int(degree_cap)
+    cap = em.d - 1 if degree_cap is None else int(degree_cap)
+    if cap < 0:
+        raise ValueError(f"the degree cap must be non-negative, got {cap}")
+    return cap
 
 
 def _distinct_tensors(spec: LieAlgebraSpec, k: int):
@@ -294,23 +319,19 @@ def _distinct_tensors(spec: LieAlgebraSpec, k: int):
     return out
 
 
-def fft_current_images(em: EvaluationModule, degree_cap: int, max_tensor_degree=None):
-    """Matrices of theta(t^{n_1}, ..., t^{n_k}) over the FFT generators.
-
-    Enumerates tensor degrees k = 1..max_tensor_degree (default: the number
-    of factors) and all unsorted degree tuples bounded by degree_cap.
-    """
-    kmax = em.d if max_tensor_degree is None else max_tensor_degree
-    for k in range(1, kmax + 1):
+def fft_current_images(em: EvaluationModule, degree_cap: int):
+    """Matrices of theta(t^{n_1}, ..., t^{n_k}) over the FFT generators:
+    tensor degrees k = 1..d (the number of factors) and all unsorted degree
+    tuples bounded by degree_cap."""
+    for k in range(1, em.d + 1):
         for th in _distinct_tensors(em.spec, k):
             for degs in itertools.product(range(degree_cap + 1), repeat=k):
                 polys = [Poly.monomial(m) for m in degs]
                 yield invariant_operator_matrix(th, polys, em)
 
 
-def check_span_surjectivity(
-    em: EvaluationModule, degree_cap=None, include_products=True, params=None
-):
+@_check("span_surjectivity")
+def check_span_surjectivity(em: EvaluationModule, degree_cap=None):
     """Images of the FFT currents span the full g-commutant of the module.
 
     The direct enumeration stops at tensor degree d (number of factors);
@@ -321,7 +342,6 @@ def check_span_surjectivity(
     every retained image must commute with each basis action, and the
     retained images span all images and their products.
     """
-    t0 = time.monotonic()
     cap = _default_cap(em, degree_cap)
     if not em.has_distinct_points():
         raise ValueError("span check requires pairwise distinct points")
@@ -343,44 +363,32 @@ def check_span_surjectivity(
             stray = f"; image {at} does not commute with basis element {y}"
             break
     direct = tracker.dim
-    if direct < expected and include_products:
+    if direct < expected:
         for a in list(images):
             for b in list(images):
                 tracker.add(a * b)
     actual = tracker.dim
-    params = dict(params or {})
-    params.update(
-        {
-            "family": em.spec.family,
-            "n": em.spec.n,
-            "d": em.d,
-            "points": [str(p) for p in em.points],
-            "degree_cap": cap,
-            "direct_span": direct,
-            "product_extended": actual != direct,
-        }
-    )
-    passed = actual == expected and not stray
-    return _report("span_surjectivity", params, passed, expected, f"{actual}{stray}", t0)
+    params = {
+        **_describe(em, "family", "n", "d", "points"),
+        "degree_cap": cap,
+        "direct_span": direct,
+        "product_extended": actual != direct,
+    }
+    return params, actual == expected and not stray, expected, f"{actual}{stray}"
 
 
-def check_isotypic_irreducibility(em: EvaluationModule, degree_cap=None, params=None):
+@_check("isotypic_irreducibility")
+def check_isotypic_irreducibility(em: EvaluationModule, degree_cap=None):
     """Burnside criterion on every multiplicity space: the restricted
     current images must generate the full multiplicity x multiplicity
     matrix algebra.  Each image is built once and compressed to the
     highest-weight-vector block of every component."""
-    t0 = time.monotonic()
     cap = _default_cap(em, degree_cap)
-    params = dict(params or {})
-    params.update(
-        {
-            "family": em.spec.family,
-            "n": em.spec.n,
-            "points": [str(p) for p in em.points],
-            "degree_cap": cap,
-            "distinct_points": em.has_distinct_points(),
-        }
-    )
+    params = {
+        **_describe(em, "family", "n", "points"),
+        "degree_cap": cap,
+        **_describe(em, "distinct_points"),
+    }
     comps = isotypic_decompose(em.carrier)
     restricted = [[] for _ in comps]
     for img in fft_current_images(em, cap):
@@ -396,24 +404,17 @@ def check_isotypic_irreducibility(em: EvaluationModule, degree_cap=None, params=
         actual_bits.append(f"mu={comp.mu}: {closure_dim}")
         if closure_dim != want:
             ok = False
-    return _report(
-        "isotypic_irreducibility",
-        params,
-        ok,
-        "; ".join(expected_bits),
-        "; ".join(actual_bits),
-        t0,
-    )
+    return params, ok, "; ".join(expected_bits), "; ".join(actual_bits)
 
 
-def check_cycle_generation(em: EvaluationModule, degree_cap=None, params=None):
+@_check("cycle_generation")
+def check_cycle_generation(em: EvaluationModule, degree_cap=None):
     """The cycle currents alone generate the commutant algebra (gl only).
 
     Also records, informationally, the closure dimension when the degree
     tuples are restricted to weakly increasing ones; that closure reuses
     the images already built for the full one.
     """
-    t0 = time.monotonic()
     if em.spec.family != GL:
         raise ValueError("cycle generation is a gl-family check")
     cap = _default_cap(em, degree_cap)
@@ -429,17 +430,12 @@ def check_cycle_generation(em: EvaluationModule, degree_cap=None, params=None):
             images.append((degs, invariant_operator_matrix(th, polys, em)))
     actual = len(algebra_closure([img for _, img in images], em.dim))
     sorted_images = [img for degs, img in images if list(degs) == sorted(degs)]
-    params = dict(params or {})
-    params.update(
-        {
-            "n": em.spec.n,
-            "d": em.d,
-            "points": [str(p) for p in em.points],
-            "degree_cap": cap,
-            "sorted_tuple_closure_dim": len(algebra_closure(sorted_images, em.dim)),
-        }
-    )
-    return _report("cycle_generation", params, actual == expected, expected, actual, t0)
+    params = {
+        **_describe(em, "n", "d", "points"),
+        "degree_cap": cap,
+        "sorted_tuple_closure_dim": len(algebra_closure(sorted_images, em.dim)),
+    }
+    return params, actual == expected, expected, actual
 
 
 def evaluation_commutant_dimension(em: EvaluationModule, degree_cap=None) -> int:
@@ -450,26 +446,16 @@ def evaluation_commutant_dimension(em: EvaluationModule, degree_cap=None) -> int
         for b in range(em.spec.dim)
         for m in range(cap + 1)
     ]
-    carrier = em.carrier if em.spec.cartan_indices is not None else None
-    return len(commutant_basis(actions, carrier=carrier))
+    return len(commutant_basis(actions, em.carrier))
 
 
-def check_evaluation_irreducibility(em: EvaluationModule, degree_cap=None, params=None):
+@_check("evaluation_irreducibility")
+def check_evaluation_irreducibility(em: EvaluationModule, degree_cap=None):
     """Distinct points make the evaluation module irreducible over g[t]
     (commutant dimension one, by Schur)."""
-    t0 = time.monotonic()
     actual = evaluation_commutant_dimension(em, degree_cap)
-    params = dict(params or {})
-    params.update(
-        {
-            "family": em.spec.family,
-            "n": em.spec.n,
-            "d": em.d,
-            "points": [str(p) for p in em.points],
-            "distinct_points": em.has_distinct_points(),
-        }
-    )
-    return _report("evaluation_irreducibility", params, actual == 1, 1, actual, t0)
+    params = _describe(em, "family", "n", "d", "points", "distinct_points")
+    return params, actual == 1, 1, actual
 
 
 # -- full acceptance sweep ------------------------------------------------
@@ -519,6 +505,11 @@ def run_acceptance_suite(seed: int = 0, profile: str = "desk"):
         specs[(GL, 3)] = build_lie_algebra(GL, 3)
         specs[(SO, 4)] = build_lie_algebra(SO, 4)
 
+    def standard_em(fam: str, n: int, d: int, points=None) -> EvaluationModule:
+        """d copies of the standard module, at the points 0, ..., d-1 by default."""
+        V = standard_module(specs[(fam, n)])
+        return EvaluationModule([V] * d, points or [Q(i) for i in range(d)])
+
     # 1. ad-invariance of every FFT tensor (and the Casimir), plus a
     #    deliberately non-invariant probe that must be flagged.
     ad_grid = [(GL, 2, 3), (SP, 1, 2), (SO, 3, 2)]
@@ -528,28 +519,7 @@ def run_acceptance_suite(seed: int = 0, profile: str = "desk"):
         spec = specs[(fam, n)]
         add("ad_invariance", check_ad_invariance(casimir_tensor(spec), spec))
         for k in range(1, kmax + 1):
-            bad = None
-            t0 = time.monotonic()
-            count = 0
-            for th in fft_tensors(spec, k):
-                if th.is_zero():
-                    continue
-                count += 1
-                d = ad_invariance_defect(th, spec)
-                if d is not None:
-                    bad = d
-                    break
-            add(
-                "ad_invariance",
-                _report(
-                    "ad_invariance_family",
-                    {"family": fam, "n": n, "k": k, "tensors": count},
-                    bad is None,
-                    "all FFT tensors annihilated by the adjoint action",
-                    "holds" if bad is None else f"defect at basis {bad}",
-                    t0,
-                ),
-            )
+            add("ad_invariance", check_ad_invariance_family(spec, k))
     probe = InvariantTensor.from_dict(2, {(1, 1): Q(1)})  # E_12 (x) E_12 in gl(2)
     add(
         "ad_invariance",
@@ -559,8 +529,7 @@ def run_acceptance_suite(seed: int = 0, profile: str = "desk"):
     # 2. commutation of current operators with the algebra action.
     for fam, n in ([(GL, 2), (SP, 1), (SO, 3)] + ([(GL, 3)] if full else [])):
         spec = specs[(fam, n)]
-        V = standard_module(spec)
-        em = EvaluationModule([V, V], [Q(0), Q(1)])
+        em = standard_em(fam, n, 2)
         polys = [_random_poly(rng, 1), _random_poly(rng, 1)]
         add("commutant", check_commutant(casimir_tensor(spec), polys, em))
         k = 2 if fam == GL else 1
@@ -574,22 +543,12 @@ def run_acceptance_suite(seed: int = 0, profile: str = "desk"):
 
     # 3. the two-point Casimir eigenvalue formula, on standard and
     #    non-standard factors, with random polynomial pairs.
-    for fam, n in [(GL, 2), (SP, 1)]:
-        spec = specs[(fam, n)]
-        V = standard_module(spec)
-        em = EvaluationModule([V, V], [Q(0), Q(1)])
-        add(
-            "casimir_formula",
-            check_casimir_formula(
-                em, _random_poly(rng, 2), _random_poly(rng, 2), casimir_cache=casimir_cache
-            ),
-        )
+    casimir_ems = [standard_em(GL, 2, 2), standard_em(SP, 1, 2)]
     if full:
         spec = specs[(GL, 2)]
         W = build_irrep(spec, (2, 0), 2)
-        em = EvaluationModule(
-            [W, standard_module(spec)], [Q(1, 2), Q(-2)]
-        )
+        casimir_ems.append(EvaluationModule([W, standard_module(spec)], [Q(1, 2), Q(-2)]))
+    for em in casimir_ems:
         add(
             "casimir_formula",
             check_casimir_formula(
@@ -615,43 +574,34 @@ def run_acceptance_suite(seed: int = 0, profile: str = "desk"):
     if full:
         span_grid += [(GL, 2, 3), (GL, 3, 3)]
     for fam, n, d in span_grid:
-        spec = specs[(fam, n)]
-        V = standard_module(spec)
-        em = EvaluationModule([V] * d, [Q(i) for i in range(d)])
-        add("span_surjectivity", check_span_surjectivity(em))
+        add("span_surjectivity", check_span_surjectivity(standard_em(fam, n, d)))
 
     # 6. Burnside irreducibility on every isotypic multiplicity space.
     iso_grid = [(GL, 2, 3)]
     if full:
         iso_grid += [(SP, 1, 2)]
     for fam, n, d in iso_grid:
-        spec = specs[(fam, n)]
-        V = standard_module(spec)
-        em = EvaluationModule([V] * d, [Q(i) for i in range(d)])
-        add("isotypic_irreducibility", check_isotypic_irreducibility(em))
-    spec = specs[(GL, 2)]
-    V = standard_module(spec)
+        add(
+            "isotypic_irreducibility",
+            check_isotypic_irreducibility(standard_em(fam, n, d)),
+        )
     add(
         "isotypic_irreducibility",
         _negated(
-            check_isotypic_irreducibility(
-                EvaluationModule([V] * 3, [Q(0), Q(0), Q(0)])
-            ),
+            check_isotypic_irreducibility(standard_em(GL, 2, 3, [Q(0)] * 3)),
             "coincident points",
         ),
     )
     if full:
-        W = build_irrep(spec, (2, 0), 2)
-        em = EvaluationModule([W, V, V], [Q(0), Q(1), Q(2)])
+        spec = specs[(GL, 2)]
+        V = standard_module(spec)
+        em = EvaluationModule([build_irrep(spec, (2, 0), 2), V, V], [Q(0), Q(1), Q(2)])
         add("isotypic_irreducibility", check_isotypic_irreducibility(em))
 
     # 7. the cycle currents alone generate the commutant algebra.
     cyc_grid = [(2, 2)] + ([(2, 3)] if full else [])
     for n, d in cyc_grid:
-        spec = specs[(GL, n)]
-        V = standard_module(spec)
-        em = EvaluationModule([V] * d, [Q(i) for i in range(d)])
-        add("cycle_generation", check_cycle_generation(em))
+        add("cycle_generation", check_cycle_generation(standard_em(GL, n, d)))
 
     # 8. evaluation modules at distinct points are irreducible over g[t];
     #    coincident points break this (negative control).
@@ -659,18 +609,14 @@ def run_acceptance_suite(seed: int = 0, profile: str = "desk"):
     if full:
         ev_grid += [(GL, 3, 3), (SO, 3, 2)]
     for fam, n, d in ev_grid:
-        spec = specs[(fam, n)]
-        V = standard_module(spec)
-        em = EvaluationModule([V] * d, [Q(i) for i in range(d)])
-        add("evaluation_irreducibility", check_evaluation_irreducibility(em))
-    spec = specs[(GL, 2)]
-    V = standard_module(spec)
+        add(
+            "evaluation_irreducibility",
+            check_evaluation_irreducibility(standard_em(fam, n, d)),
+        )
     add(
         "evaluation_irreducibility",
         _negated(
-            check_evaluation_irreducibility(
-                EvaluationModule([V] * 3, [Q(0), Q(0), Q(0)])
-            ),
+            check_evaluation_irreducibility(standard_em(GL, 2, 3, [Q(0)] * 3)),
             "coincident points",
         ),
     )

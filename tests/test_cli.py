@@ -5,6 +5,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from repcur import verify
 from repcur.cli import main
 
 
@@ -79,17 +80,31 @@ def test_usage_errors_exit_2(runner):
         ["verify", "span", "--degree-cap", "frogs"],
         ["verify", "schur-weyl", "--tau", "5,9"],
         ["verify", "casimir", "--family", "so"],
+        ["verify", "commutant", "--polys", "0,x"],  # malformed coefficient
+        ["verify", "casimir", "--polys", "0,1;"],  # empty coefficient
+        ["verify", "span", "-n", "0"],  # no gl(0)
     ]
     for args in cases:
         res = invoke(runner, args)
         assert res.exit_code == 2, args
 
 
+def test_library_fault_is_not_a_usage_error(runner, monkeypatch):
+    def fault(*args, **kwargs):
+        raise RuntimeError("invariant violated")
+
+    monkeypatch.setattr(verify, "check_span_surjectivity", fault)
+    res = runner.invoke(main, ["verify", "span"])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, RuntimeError)
+
+
 def test_dimension_cap(runner, monkeypatch):
     monkeypatch.setenv("REPCUR_MAX_DIM", "5")
-    res = invoke(runner, ["verify", "irreducibility"])
-    assert res.exit_code == 2
-    assert "REPCUR_MAX_DIM" in res.output
+    for args in (["verify", "irreducibility"], ["verify", "schur-weyl"]):
+        res = invoke(runner, args)
+        assert res.exit_code == 2, args
+        assert "REPCUR_MAX_DIM" in res.output, args
 
 
 def test_quick_sweep(runner):

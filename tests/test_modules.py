@@ -1,5 +1,7 @@
 """Modules: irrep construction, weights, Casimir scalars, commutants."""
 
+import dataclasses
+
 import pytest
 
 from repcur.liealg import GL, SO, SP, build_lie_algebra
@@ -78,6 +80,33 @@ def test_build_irrep_rejects_bad_weight(gl2):
         build_irrep(gl2, (0, 2), 2)  # not dominant
     with pytest.raises(ValueError):
         build_irrep(gl2, (1, 0), 2)  # |lam| != m for gl
+    with pytest.raises(ValueError, match="needs exactly 2 entries"):
+        build_irrep(gl2, (0, 0, 0), 0)  # wrong length
+
+
+def test_weight_decomposition_fault_is_a_runtime_error(gl2):
+    # a weight bound below the module's weights breaks an invariant of the
+    # module; no valid input can cause it, so it is not a ValueError
+    narrow = dataclasses.replace(standard_module(gl2), weight_bound=0)
+    with pytest.raises(RuntimeError, match="not diagonalizable"):
+        weight_decomposition(narrow)
+
+
+def test_tensor_module_enforces_the_dimension_cap(gl2, monkeypatch):
+    v = standard_module(gl2)
+    monkeypatch.setenv("REPCUR_MAX_DIM", "7")
+    assert tensor_module([v, v]).dim == 4
+    with pytest.raises(ValueError, match=r"limit 7 \(raise REPCUR_MAX_DIM"):
+        tensor_module([v, v, v])
+    with pytest.raises(ValueError, match="dimension 8 exceeds"):
+        build_irrep(gl2, (3, 0), 3)  # cut out of the third tensor power
+    # the product stops at the first factor over the cap, so a huge power
+    # is rejected at once and with a printable number
+    with pytest.raises(ValueError, match="dimension at least 8 exceeds"):
+        build_irrep(gl2, (10**5, 0), 10**5)
+    monkeypatch.setenv("REPCUR_MAX_DIM", "frogs")
+    with pytest.raises(ValueError, match="REPCUR_MAX_DIM must be a non-negative integer"):
+        tensor_module([v, v])
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,7 @@
 import pytest
 
 from repcur import verify
-from repcur.currents import EvaluationModule
+from repcur.currents import EvaluationModule, InvariantTensor
 from repcur.invariants import Permutation, casimir_tensor, theta_sigma_gl
 from repcur.liealg import GL, SO, SP, build_lie_algebra
 from repcur.linalg import Mat
@@ -12,6 +12,7 @@ from repcur.poly import Poly
 from repcur.rational import Q
 from repcur.verify import (
     check_ad_invariance,
+    check_ad_invariance_family,
     check_casimir_formula,
     check_commutant,
     check_cycle_generation,
@@ -48,6 +49,15 @@ def test_report_shape(gl2):
     assert r.check_name == "ad_invariance"
     assert r.parameters["family"] == GL
     assert r.runtime_ms >= 0
+
+
+def test_ad_invariance_family_reports_the_first_defect(gl2, monkeypatch):
+    probe = InvariantTensor.from_dict(2, {(1, 1): Q(1)})  # E_12 (x) E_12
+    monkeypatch.setattr(verify, "fft_tensors", lambda spec, k: [probe, probe])
+    r = check_ad_invariance_family(gl2, 2)
+    assert r.status == "fail"
+    assert r.actual.startswith("defect at basis ")
+    assert r.parameters["tensors"] == 1
 
 
 def test_commutant_check(gl2, em2):
