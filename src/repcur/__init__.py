@@ -30,8 +30,7 @@ from .invariants import (
     casimir_tensor,
     theta_sigma_gl,
     theta_cycle_gl,
-    theta_sigma_sp,
-    psi_sigma_so,
+    theta_sigma_form,
     fft_tensors,
     schur_weyl_polys,
 )

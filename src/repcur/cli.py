@@ -22,7 +22,7 @@ import click
 from . import verify
 from .currents import EvaluationModule
 from .invariants import casimir_tensor, fft_tensors
-from .liealg import FAMILIES, GL, SO, build_lie_algebra
+from .liealg import FAMILIES, GL, build_lie_algebra
 from .modules import build_irrep, standard_module
 from .poly import Poly
 from .rational import parse_rat
@@ -61,11 +61,10 @@ def _resolve_cap(degree_cap: str, d: int) -> int:
 def _build_module(family: str, n: int, points, weights=None) -> EvaluationModule:
     """The evaluation module at the points; its factors are the irreps of the
     ';'-separated weights, or the standard module at every point."""
-    spec = build_lie_algebra(family, n)
-    std_weight = (1,) + (0,) * (n - 1)
-    lams = [std_weight] * len(points) if weights is None else parse_weights(weights)
+    std = standard_module(build_lie_algebra(family, n))
+    lams = [std.highest_weight] * len(points) if weights is None else parse_weights(weights)
     factors = [
-        standard_module(spec) if lam == std_weight else build_irrep(spec, lam, sum(lam))
+        std if lam == std.highest_weight else build_irrep(std.spec, lam, sum(map(abs, lam)))
         for lam in lams
     ]
     return EvaluationModule(factors, points)
@@ -226,8 +225,8 @@ def span_cmd(family, n, points, degree_cap, output, expect_fail):
 @click.option("--points", default="0,1,2", show_default=True)
 @click.option("--weights", default=None, help="Defaults to the standard module per point.")
 @click.option("--degree-cap", default="auto", show_default=True)
-@click.option("--isotypic/--no-isotypic", default=None,
-              help="Force or skip the per-component Burnside check.")
+@click.option("--isotypic/--no-isotypic", default=True, show_default=True,
+              help="Run the per-component Burnside check.")
 @_with_common
 def irreducibility_cmd(family, n, points, weights, degree_cap, isotypic,
                        output, expect_fail):
@@ -235,8 +234,7 @@ def irreducibility_cmd(family, n, points, weights, degree_cap, isotypic,
     em = _build_module(family, n, parse_points(points), weights)
     cap = _resolve_cap(degree_cap, em.d)
     reports = [verify.check_evaluation_irreducibility(em, degree_cap=cap)]
-    do_isotypic = isotypic if isotypic is not None else family != SO
-    if do_isotypic:
+    if isotypic:
         reports.append(verify.check_isotypic_irreducibility(em, degree_cap=cap))
     _emit(reports, {"command": "irreducibility", "family": family, "n": n,
                     "points": points, "weights": weights,

@@ -2,8 +2,8 @@
 
 For gl(n) the spanning family is indexed by permutations of the tensor
 slots; for sp(2n) and so(n) by permutations of 2k slots, with paired
-indices tied together (antidiagonally with signs in the symplectic case,
-equal in the orthogonal case) and each paired factor symmetrized into
+indices tied together by the invariant form F of the family (Jhat for sp,
+J for so, both antidiagonal) and each paired factor symmetrized into
 sp(2n), resp. antisymmetrized into so(n).  All tensors are expanded into
 spec-basis coordinates at construction time so one representation serves
 every family.
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 
-from .liealg import GL, SO, SP, LieAlgebraSpec, sign_function
+from .liealg import GL, LieAlgebraSpec, form_matrix
 from .linalg import Mat
 from .currents import InvariantTensor
 from .poly import Poly
@@ -143,55 +143,53 @@ def _sparse_coords(spec: LieAlgebraSpec, m: Mat):
     return [(b, c) for b, c in enumerate(spec.coords(m)) if c]
 
 
-def sp_factor_table(spec: LieAlgebraSpec) -> dict:
-    """Spec coordinates of every symmetrized symplectic factor.
+def paired_factor_table(spec: LieAlgebraSpec) -> dict:
+    """Spec coordinates of every paired factor of sp(2n) or so(n).
 
-    Maps slot values (a, b) to the sparse coordinates of
-    (1/2)(s(b) E_{a, 2n+1-b} + s(a) E_{b, 2n+1-a}); computing them verifies
-    that each factor lies in sp(2n).
+    With F = form_matrix and F^T = εF, maps slot values (a, b) to the
+    sparse coordinates of (1/2)(e_a e_b^T F - ε e_b e_a^T F): that is
+    (1/2)(s(b) E_{a, bar b} + s(a) E_{b, bar a}) for sp and
+    (1/2)(E_{a, bar b} - E_{b, bar a}) for so.  Computing them verifies that
+    each factor lies in the algebra.
     """
-    n, N = spec.n, 2 * spec.n
+    N = spec.matrix_size
+    F = form_matrix(spec.family, spec.n)
+    eps = 1 if F.transpose() == F else -1
     half = Q(1, 2)
     table = {}
     for a in range(1, N + 1):
         for b in range(1, N + 1):
-            m = Mat.from_entries(N, N, {(a - 1, N - b): half * sign_function(n, b)})
-            m = m + Mat.from_entries(N, N, {(b - 1, N - a): half * sign_function(n, a)})
-            table[(a, b)] = _sparse_coords(spec, m)
+            ab = Mat.from_entries(N, N, {(a - 1, b - 1): half}) * F
+            ba = Mat.from_entries(N, N, {(b - 1, a - 1): half}) * F
+            table[(a, b)] = _sparse_coords(spec, ab - ba.scale(eps))
     return table
 
 
-def theta_sigma_sp(
-    sigma: Permutation, n: int, spec: LieAlgebraSpec | None = None, factors=None
-):
-    """The symmetrized symplectic FFT tensor for σ ∈ Σ_{2k}.
+def theta_sigma_form(sigma: Permutation, spec: LieAlgebraSpec, factors=None):
+    """The FFT tensor of sp(2n) or so(n) for σ ∈ Σ_{2k}.
 
-    Free indices run over the odd slots; each even slot holds the
-    antidiagonal mirror of its predecessor, contributing the sign s of the
-    free index (the mirrored basis vector carries that sign).  Each of the
-    k paired factors is symmetrized into sp(2n) via the form; ``factors``
-    is ``sp_factor_table(spec)``, built here when not given, so that
-    ``fft_tensors`` builds it once for all σ.
+    Free indices v run over the odd slots; each even slot holds bar v, the
+    pair carrying the coefficient F[v, bar v] of the antidiagonal form F =
+    form_matrix (the sign s(v) for sp, 1 for so).  Each of the k paired
+    factors is symmetrized into sp(2n), resp. antisymmetrized into so(n),
+    via the form; ``factors`` is ``paired_factor_table(spec)``, built here
+    when not given, so that ``fft_tensors`` builds it once for all σ.
     """
     if sigma.k % 2:
-        raise ValueError("symplectic tensors need a permutation of even degree")
-    k = sigma.k // 2
-    if spec is None:
-        from .liealg import build_lie_algebra
-
-        spec = build_lie_algebra(SP, n)
+        raise ValueError("paired tensors need a permutation of even degree")
     if factors is None:
-        factors = sp_factor_table(spec)
-    N = 2 * n
+        factors = paired_factor_table(spec)
+    k = sigma.k // 2
+    # (v, bar v, F[v, bar v]) over the nonzero entries of F, v ascending
+    pairs = [(r + 1, c + 1, f) for (r, c), f in form_matrix(spec.family, spec.n).items()]
 
     acc: dict = {}
-    for free in itertools.product(range(1, N + 1), repeat=k):
-        slots = [0] * (2 * k + 1)
+    for free in itertools.product(pairs, repeat=k):
+        slots = [0]
         coeff = 1
-        for j, v in enumerate(free, start=1):
-            slots[2 * j - 1] = v
-            slots[2 * j] = N + 1 - v
-            coeff *= sign_function(n, v)
+        for v, v_bar, f in free:
+            slots += (v, v_bar)
+            coeff *= f
         coords = [
             factors[slots[sigma(2 * j - 1)], slots[sigma(2 * j)]]
             for j in range(1, k + 1)
@@ -200,59 +198,12 @@ def theta_sigma_sp(
     return InvariantTensor.from_dict(k, acc)
 
 
-def psi_sigma_so(sigma: Permutation, n: int, spec: LieAlgebraSpec | None = None):
-    """The antisymmetrized orthogonal FFT tensor for σ ∈ Σ_{2k}.
-
-    Free indices run over the odd slots with each even slot equal to its
-    predecessor; paired factors antisymmetrize to -(1/2)(E_ab - E_ba).
-    """
-    if sigma.k % 2:
-        raise ValueError("orthogonal tensors need a permutation of even degree")
-    k = sigma.k // 2
-    if spec is None:
-        from .liealg import build_lie_algebra
-
-        spec = build_lie_algebra(SO, n)
-
-    so_index = {}
-    pos = 0
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            so_index[(i, j)] = pos
-            pos += 1
-
-    def factor(a: int, b: int):
-        # -(1/2)(E_ab - E_ba) in the {E_ij - E_ji : i < j} basis
-        if a == b:
-            return []
-        if a < b:
-            return [(so_index[(a, b)], Q(-1, 2))]
-        return [(so_index[(b, a)], Q(1, 2))]
-
-    acc: dict = {}
-    for free in itertools.product(range(1, n + 1), repeat=k):
-        slots = [0] * (2 * k + 1)
-        for j, v in enumerate(free, start=1):
-            slots[2 * j - 1] = v
-            slots[2 * j] = v
-        coords = [
-            factor(slots[sigma(2 * j - 1)], slots[sigma(2 * j)])
-            for j in range(1, k + 1)
-        ]
-        _expand_factors(spec, 1, coords, acc)
-    return InvariantTensor.from_dict(k, acc)
-
-
 def fft_tensors(spec: LieAlgebraSpec, k: int):
     """All FFT spanning tensors of degree k for the given family."""
     if spec.family == GL:
         return [theta_sigma_gl(s, spec.n) for s in all_permutations(k)]
-    if spec.family == SP:
-        factors = sp_factor_table(spec)
-        return [theta_sigma_sp(s, spec.n, spec, factors) for s in all_permutations(2 * k)]
-    if spec.family == SO:
-        return [psi_sigma_so(s, spec.n, spec) for s in all_permutations(2 * k)]
-    raise ValueError(f"unknown family {spec.family!r}")
+    factors = paired_factor_table(spec)
+    return [theta_sigma_form(s, spec, factors) for s in all_permutations(2 * k)]
 
 
 def schur_weyl_polys(tau, points, k: int):

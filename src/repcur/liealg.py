@@ -1,19 +1,17 @@
 """The classical matrix Lie algebra families gl(n), sp(2n), so(n).
 
 Each family is realized by explicit basis matrices, with the bracket table,
-the trace form ⟨x, y⟩ = tr(xy), trace-form dual bases, and (for gl and sp,
-where the realization admits a rational split Cartan) the index sets of
-Cartan, raising and lowering basis elements.
+the trace form ⟨x, y⟩ = tr(xy), trace-form dual bases, and the index sets of
+Cartan, raising and lowering basis elements of a rational split Cartan.
 
-Realizations:
+Realizations (bar i = N+1-i for N x N matrices):
   gl(n):  all n x n matrices, basis {E_ij}.
   sp(2n): X with X^T Jhat + Jhat X = 0 for the antidiagonal-block form
           Jhat = [[0, J], [-J, 0]], J the n x n antidiagonal of ones.
-          Diagonal elements look like diag(a_1..a_n, -a_n..-a_1), so the
-          split Cartan is rational.
-  so(n):  antisymmetric matrices (orthonormal symmetric form), basis
-          {E_ij - E_ji : i < j}.  No rational split Cartan in this
-          realization, so weight machinery is withheld for so.
+          Diagonal elements look like diag(a_1..a_n, -a_n..-a_1).
+  so(n):  X with X^T J + J X = 0 for J the n x n antidiagonal of ones,
+          basis {E_ij - E_{bar j, bar i} : i + j <= n}.  Diagonal elements
+          look like diag(a_1..a_m, (0), -a_m..-a_1) with m = n // 2.
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .linalg import Mat, inverse, lincomb
-from .rational import Q, ZERO, ONE
+from .rational import ONE
 
 GL = "gl"
 SP = "sp"
@@ -49,9 +47,9 @@ class LieAlgebraSpec:
     form_gram: Mat = field(compare=False)
     gram_inverse: Mat = field(compare=False)
     dual_basis: tuple = field(compare=False)
-    cartan_indices: tuple | None
-    raising_indices: tuple | None
-    lowering_indices: tuple | None
+    cartan_indices: tuple
+    raising_indices: tuple
+    lowering_indices: tuple
 
     @property
     def dim(self) -> int:
@@ -135,21 +133,30 @@ def _sp_basis(n: int):
 
 
 def _so_basis(n: int):
-    basis = []
+    """Basis of so(n) in the antidiagonal realization: E_ij - E_{bar j, bar i}
+    for i + j <= n (i + j = n + 1 gives zero, and i + j > n + 1 the negative
+    of an element with i + j <= n)."""
+    bar = lambda i: n + 1 - i
+    basis, cartan, raising, lowering = [], [], [], []
     for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            basis.append(_unit(n, i, j) - _unit(n, j, i))
-    return basis, None, None, None
+        for j in range(1, n + 1 - i):
+            idx = len(basis)
+            basis.append(_unit(n, i, j) - _unit(n, bar(j), bar(i)))
+            (cartan if i == j else raising if i < j else lowering).append(idx)
+    return basis, cartan, raising, lowering
 
 
-def symplectic_form_matrix(n: int) -> Mat:
-    """Jhat = [[0, J], [-J, 0]] with J the n x n antidiagonal of ones."""
-    N = 2 * n
-    entries = {}
-    for i in range(1, n + 1):
-        entries[(i - 1, N - i)] = ONE
-        entries[(N - i, i - 1)] = -ONE
-    return Mat.from_entries(N, N, entries)
+def form_matrix(family: str, n: int) -> Mat:
+    """The antidiagonal form F with X^T F + F X = 0 on the family: Jhat =
+    [[0, J], [-J, 0]] for sp(2n) (F^T = -F) and J for so(n) (F^T = F),
+    J the antidiagonal of ones.  Row i holds F[i, bar i] only."""
+    if family == SP:
+        N = 2 * n
+        signs = {(i - 1, N - i): sign_function(n, i) for i in range(1, N + 1)}
+        return Mat.from_entries(N, N, signs)
+    if family == SO:
+        return Mat.from_entries(n, n, {(i, n - 1 - i): 1 for i in range(n)})
+    raise ValueError(f"{family} preserves no bilinear form")
 
 
 def build_lie_algebra(family: str, n: int) -> LieAlgebraSpec:
@@ -165,8 +172,10 @@ def build_lie_algebra(family: str, n: int) -> LieAlgebraSpec:
         size = 2 * n
         basis, cartan, raising, lowering = _sp_basis(n)
     elif family == SO:
-        if n < 2:
-            raise ValueError("so(n) requires n >= 2")
+        if n < 3:
+            raise ValueError(
+                "so(n) requires n >= 3: so(2) is abelian and its standard module is reducible"
+            )
         size = n
         basis, cartan, raising, lowering = _so_basis(n)
     else:
@@ -186,9 +195,9 @@ def build_lie_algebra(family: str, n: int) -> LieAlgebraSpec:
         form_gram=gram,
         gram_inverse=gram_inv,
         dual_basis=tuple(dual),
-        cartan_indices=tuple(cartan) if cartan is not None else None,
-        raising_indices=tuple(raising) if raising is not None else None,
-        lowering_indices=tuple(lowering) if lowering is not None else None,
+        cartan_indices=tuple(cartan),
+        raising_indices=tuple(raising),
+        lowering_indices=tuple(lowering),
     )
     for i in range(dim):
         for j in range(dim):

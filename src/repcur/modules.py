@@ -3,17 +3,17 @@
 Irreducible modules are cut out of tensor powers of the standard module by
 highest-weight cyclic generation: solve for a highest weight vector (joint
 kernel of the raising actions inside the target weight space), then close
-under the lowering actions.  One algorithm serves gl and sp; so is excluded
-from weight machinery (its orthonormal realization has no rational split
-Cartan) and enters only through tensor powers and commutant-based checks.
+under the lowering actions.  One algorithm serves gl, sp and so, whose
+realizations all have a rational split Cartan.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass
 
-from .liealg import GL, SO, SP, LieAlgebraSpec
+from .liealg import GL, SO, LieAlgebraSpec
 from .linalg import (
     Mat,
     SpanTracker,
@@ -23,7 +23,7 @@ from .linalg import (
     solve_columns,
     stack_rows,
 )
-from .rational import Q, ZERO, ONE
+from .rational import ONE
 
 Weight = tuple  # integer tuple in epsilon-coordinates
 
@@ -31,12 +31,15 @@ MAX_DIM_ENV = "REPCUR_MAX_DIM"
 DEFAULT_MAX_DIM = 4096
 
 
-def is_dominant(family: str, coords: Weight) -> bool:
-    if any(coords[i] < coords[i + 1] for i in range(len(coords) - 1)):
+def is_dominant(spec: LieAlgebraSpec, coords: Weight) -> bool:
+    """λ_1 >= ... >= λ_m, and further λ_m >= 0 for sp and odd-n so (types C
+    and B) or λ_{m-1} >= |λ_m| for even-n so (type D)."""
+    coords = tuple(coords)
+    if spec.family == SO and spec.n % 2 == 0:
+        coords = coords[:-1] + (abs(coords[-1]),)
+    elif spec.family != GL and coords and coords[-1] < 0:
         return False
-    if family == SP and coords and coords[-1] < 0:
-        return False
-    return True
+    return all(a >= b for a, b in zip(coords, coords[1:]))
 
 
 @dataclass
@@ -87,13 +90,13 @@ class IsotypicComponent:
 
 def standard_module(spec: LieAlgebraSpec) -> GModule:
     acts = list(spec.basis)
-    hw = (1,) + (0,) * (spec.n - 1) if spec.cartan_indices is not None else None
+    hw = (1,) + (0,) * (len(spec.cartan_indices) - 1)
     return GModule(spec, spec.matrix_size, acts, 1, label="V", highest_weight=hw)
 
 
 def trivial_module(spec: LieAlgebraSpec) -> GModule:
     one = Mat.zeros(1, 1)
-    hw = (0,) * spec.n if spec.cartan_indices is not None else None
+    hw = (0,) * len(spec.cartan_indices)
     return GModule(spec, 1, [one] * spec.dim, 0, label="1", highest_weight=hw)
 
 
@@ -117,6 +120,28 @@ def _promote(a: Mat, dims: list, factor: int) -> Mat:
     return Mat.from_entries(total, total, entries)
 
 
+def _capped_dimension(dims) -> int:
+    """The product of the factor dimensions ``dims``, an iterable, checked
+    against the environment variable REPCUR_MAX_DIM (default 4096).  The
+    product stops at the first factor over the cap: a long product is slow
+    and unprintable."""
+    raw = os.environ.get(MAX_DIM_ENV, str(DEFAULT_MAX_DIM)).strip()
+    if not raw.isdigit():
+        raise ValueError(f"{MAX_DIM_ENV} must be a non-negative integer, got {raw!r}")
+    limit = int(raw)
+    dims = iter(dims)
+    total = 1
+    for d in dims:
+        total *= d
+        if total > limit:
+            at_least = "at least " if next(dims, None) is not None else ""
+            raise ValueError(
+                f"carrier dimension {at_least}{total} exceeds the limit {limit} "
+                f"(raise {MAX_DIM_ENV} to override)"
+            )
+    return total
+
+
 def tensor_module(factors: list) -> GModule:
     """Tensor product with action x ↦ Σ_i 1⊗...⊗action_i(x)⊗...⊗1.
 
@@ -129,20 +154,8 @@ def tensor_module(factors: list) -> GModule:
     for f in factors:
         if f.spec is not spec and f.spec != spec:
             raise ValueError("tensor factors over different Lie algebras")
-    raw = os.environ.get(MAX_DIM_ENV, str(DEFAULT_MAX_DIM)).strip()
-    if not raw.isdigit():
-        raise ValueError(f"{MAX_DIM_ENV} must be a non-negative integer, got {raw!r}")
-    limit = int(raw)
     dims = [f.dim for f in factors]
-    total = 1
-    for i, d in enumerate(dims, 1):
-        total *= d
-        if total > limit:  # stop early: a long product is slow and unprintable
-            at_least = "at least " if i < len(dims) else ""
-            raise ValueError(
-                f"carrier dimension {at_least}{total} exceeds the limit {limit} "
-                f"(raise {MAX_DIM_ENV} to override)"
-            )
+    total = _capped_dimension(dims)
     if len(factors) == 1:
         f = factors[0]
         return GModule(spec, f.dim, list(f.actions), f.weight_bound, f.label)
@@ -160,14 +173,8 @@ def _restrict(action: Mat, basis_cols: Mat) -> Mat:
     return solve_columns(basis_cols, action * basis_cols)
 
 
-def _require_weights(spec: LieAlgebraSpec, what: str):
-    if spec.cartan_indices is None:
-        raise ValueError(f"{what} requires a rational split Cartan (gl/sp only)")
-
-
 def weight_space(module: GModule, weight: Weight) -> Mat:
     """Column basis of the simultaneous Cartan eigenspace for ``weight``."""
-    _require_weights(module.spec, "weight_space")
     cartans = module.spec.cartan_indices
     if len(weight) != len(cartans):
         raise ValueError("weight length does not match Cartan rank")
@@ -186,7 +193,6 @@ def weight_decomposition(module: GModule, basis_cols: Mat | None = None):
     Recursively splits by each Cartan element; eigenvalues are integers
     bounded by module.weight_bound, so the search is finite and exact.
     """
-    _require_weights(module.spec, "weight_decomposition")
     cartans = module.spec.cartan_indices
     bound = module.weight_bound
     if basis_cols is None:
@@ -237,29 +243,24 @@ def _lowering_closure(module: GModule, seed_cols: Mat) -> Mat:
 def build_irrep(spec: LieAlgebraSpec, lam: Weight, m: int) -> GModule:
     """Construct V(λ) inside the m-th tensor power of the standard module.
 
-    gl(n): λ a partition with |λ| = m.  sp(2n): |λ| <= m with m - |λ| even.
+    λ is dominant with Σ|λ_i| <= m; V(λ) first occurs in degree Σ|λ_i|.  A
+    weight absent from the m-th power (a gl weight with Σλ_i != m, say) is
+    rejected when its weight space or its highest weight vectors are empty.
     The highest weight vector is the first kernel vector, in the
     deterministic order produced by rref, of the raising actions restricted
     to the λ weight space; the module is its lowering closure.
     """
-    _require_weights(spec, "build_irrep")
     lam = tuple(int(c) for c in lam)
     if len(lam) != len(spec.cartan_indices):
         raise ValueError(f"weight {lam} needs exactly {len(spec.cartan_indices)} entries")
-    if not is_dominant(spec.family, lam):
+    if not is_dominant(spec, lam):
         raise ValueError(f"weight {lam} not dominant for {spec.family}")
-    total = sum(lam)
-    if spec.family == GL:
-        if any(c < 0 for c in lam):
-            raise ValueError("gl irreps are built for polynomial weights only")
-        if total != m:
-            raise ValueError(f"gl weight {lam} needs tensor degree {total}, got {m}")
-    elif spec.family == SP:
-        if total > m or (m - total) % 2:
-            raise ValueError(f"sp weight {lam} not realizable in degree {m}")
+    if sum(map(abs, lam)) > m:
+        raise ValueError(f"weight {lam} cannot occur in tensor degree {m}")
     if m == 0:
         return GModule(spec, 1, [Mat.zeros(1, 1) for _ in spec.basis], 0, "V(0)", lam)
 
+    _capped_dimension(itertools.repeat(spec.matrix_size, m))
     ambient = tensor_module([standard_module(spec)] * m)
     wspace = weight_space(ambient, lam)
     if wspace.cols == 0:
@@ -281,7 +282,6 @@ def isotypic_decompose(module: GModule):
 
     Components are ordered by highest weight, lexicographically descending.
     """
-    _require_weights(module.spec, "isotypic_decompose")
     spec = module.spec
     if module.dim == 0:
         return []
@@ -295,7 +295,7 @@ def isotypic_decompose(module: GModule):
     components = []
     covered = 0
     for wt, cols in weight_decomposition(module, hwv_all):
-        if not is_dominant(spec.family, wt):
+        if not is_dominant(spec, wt):
             raise RuntimeError(f"non-dominant highest weight {wt} found")
         comp_basis = _lowering_closure(module, cols)
         mult = cols.cols
@@ -348,47 +348,31 @@ def commutant_basis(actions: list, carrier: GModule) -> list:
     """Basis of {M : [M, A] = 0 for every A in actions}.
 
     ``carrier`` is the g-module the actions act on, and its g-action must be
-    among them.  When it has a rational split Cartan, the search is seeded
-    from the weight-space block structure (a commuting M preserves every weight
-    space), which keeps the linear systems small.  A combined operator is
-    intersected first so later intersections run in low dimension.
+    among them.  The search is seeded from the weight-space block structure
+    (a commuting M preserves every weight space), which keeps the linear
+    systems small.  A combined operator is intersected first so later
+    intersections run in low dimension.
     """
     if not actions:
         raise ValueError("commutant of an empty action list is everything")
     size = actions[0].rows
 
+    pieces = weight_decomposition(carrier)
+    t = Mat.from_columns([c for _, piece in pieces for c in piece.columns()], size)
+    t_inv = inverse(t)
+    work_actions = [t_inv * a * t for a in actions]
     candidates: list[Mat] = []
-    if carrier.spec.cartan_indices is not None:
-        pieces = weight_decomposition(carrier)
-        cols = []
-        for _, piece in pieces:
-            cols.extend(piece.columns())
-        t = Mat.from_columns(cols, size)
-        t_inv = inverse(t)
-        transformed = [t_inv * a * t for a in actions]
-        offset = 0
-        block_sizes = [piece.cols for _, piece in pieces]
-        for bs in block_sizes:
-            for p in range(offset, offset + bs):
-                for q in range(offset, offset + bs):
-                    candidates.append(Mat.from_entries(size, size, {(p, q): ONE}))
-            offset += bs
-        work_actions = transformed
-    else:
-        for p in range(size):
-            for q in range(size):
-                candidates.append(Mat.from_entries(size, size, {(p, q): ONE}))
-        work_actions = actions
-        t = None
+    offset = 0
+    for _, piece in pieces:
+        block = range(offset, offset + piece.cols)
+        candidates.extend(Mat.from_entries(size, size, {(p, q): 1}) for p in block for q in block)
+        offset += piece.cols
 
     combined = lincomb(((i + 1, a) for i, a in enumerate(work_actions)), size, size)
     candidates = _kernel_combinations(candidates, combined)
     for a in work_actions:
         candidates = _kernel_combinations(candidates, a)
-
-    if t is not None:
-        candidates = [t * m * t_inv for m in candidates]
-    return candidates
+    return [t * m * t_inv for m in candidates]
 
 
 def commutant_dimension(module: GModule) -> int:

@@ -171,11 +171,12 @@ def check_commutant(theta: InvariantTensor, polys, em: EvaluationModule):
 
 
 def casimir_scalar(spec: LieAlgebraSpec, mu, cache: dict):
-    """C_mu: the scalar of the Casimir on V(mu), via an independent build;
-    ``cache`` holds the scalars already computed, keyed by (family, n, mu)."""
+    """C_mu: the scalar of the Casimir on V(mu), built in tensor degree
+    Σ|mu_i| independently of the module under test; ``cache`` holds the
+    scalars already computed, keyed by (family, n, mu)."""
     key = (spec.family, spec.n, tuple(mu))
     if key not in cache:
-        cache[key] = casimir_eigenvalue(spec, build_irrep(spec, mu, sum(mu)))
+        cache[key] = casimir_eigenvalue(spec, build_irrep(spec, mu, sum(map(abs, mu))))
     return cache[key]
 
 
@@ -191,7 +192,7 @@ def check_casimir_formula(em: EvaluationModule, p: Poly, q: Poly, casimir_cache=
         raise ValueError("points must be distinct")
     lams = [f.highest_weight for f in em.factors]
     if any(l is None for l in lams):
-        raise ValueError("the Casimir formula needs factors with highest weights (gl or sp)")
+        raise ValueError("the Casimir formula needs irreducible factors with highest weights")
     spec = em.spec
     params = {
         **_describe(em, "family", "n"),

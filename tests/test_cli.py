@@ -1,6 +1,8 @@
 """Command-line interface: exit codes, JSON output, input validation."""
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -83,10 +85,31 @@ def test_usage_errors_exit_2(runner):
         ["verify", "commutant", "--polys", "0,x"],  # malformed coefficient
         ["verify", "casimir", "--polys", "0,1;"],  # empty coefficient
         ["verify", "span", "-n", "0"],  # no gl(0)
+        ["verify", "span", "--family", "so", "-n", "2"],  # so(2) is abelian
     ]
     for args in cases:
         res = invoke(runner, args)
         assert res.exit_code == 2, args
+
+
+def _documented_commands():
+    """The `repcur verify` lines of the "Command line" block in README.md
+    and PAPER.md, without `verify all`: the sweep tests cover that."""
+    root = Path(__file__).resolve().parents[1]
+    found = set()
+    for name in ("README.md", "PAPER.md"):
+        block = (root / name).read_text().split("## Command line", 1)[1]
+        for line in block.split("```sh", 1)[1].split("```", 1)[0].splitlines():
+            args = shlex.split(line, comments=True)
+            if args[:2] == ["repcur", "verify"] and args[2] != "all":
+                found.add(tuple(args[1:]))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("args", _documented_commands(), ids=" ".join)
+def test_documented_command_passes(runner, args):
+    # the --expect-fail control exits 0 as well
+    assert invoke(runner, list(args)).exit_code == 0
 
 
 def test_library_fault_is_not_a_usage_error(runner, monkeypatch):

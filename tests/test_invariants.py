@@ -8,11 +8,10 @@ from repcur.invariants import (
     all_permutations,
     casimir_tensor,
     fft_tensors,
-    psi_sigma_so,
     schur_weyl_polys,
     theta_cycle_gl,
+    theta_sigma_form,
     theta_sigma_gl,
-    theta_sigma_sp,
 )
 from repcur.liealg import GL, SO, SP, build_lie_algebra
 from repcur.poly import Poly
@@ -76,7 +75,7 @@ def test_sp_degree_one_tensors_vanish():
     """The symplectic trace is zero, so every k = 1 tensor collapses."""
     spec = build_lie_algebra(SP, 1)
     for sigma in all_permutations(2):
-        assert theta_sigma_sp(sigma, 1, spec).is_zero()
+        assert theta_sigma_form(sigma, spec).is_zero()
 
 
 @pytest.mark.parametrize("n,k", [(1, 2), (2, 2)])
@@ -84,7 +83,7 @@ def test_sp_tensors_are_ad_invariant(n, k):
     spec = build_lie_algebra(SP, n)
     shared = fft_tensors(spec, k)  # one factor table for every sigma
     for sigma, th in zip(all_permutations(2 * k), shared, strict=True):
-        assert th == theta_sigma_sp(sigma, n, spec)
+        assert th == theta_sigma_form(sigma, spec)
         assert ad_invariance_defect(th, spec) is None
 
 
@@ -94,7 +93,7 @@ def test_sp_degree_two_tensors_all_proportional_to_casimir():
     omega_key = casimir_tensor(spec).canonical_key()
     nonzero = 0
     for sigma in all_permutations(4):
-        th = theta_sigma_sp(sigma, 1, spec)
+        th = theta_sigma_form(sigma, spec)
         if th.is_zero():
             continue
         nonzero += 1
@@ -104,7 +103,7 @@ def test_sp_degree_two_tensors_all_proportional_to_casimir():
 
 def test_sp_rejects_odd_degree():
     with pytest.raises(ValueError):
-        theta_sigma_sp(Permutation((2, 3, 1)), 1)
+        theta_sigma_form(Permutation((2, 3, 1)), build_lie_algebra(SP, 1))
 
 
 # -- so tensors -----------------------------------------------------------
@@ -113,14 +112,14 @@ def test_sp_rejects_odd_degree():
 def test_so_degree_one_tensors_vanish():
     spec = build_lie_algebra(SO, 3)
     for sigma in all_permutations(2):
-        assert psi_sigma_so(sigma, 3, spec).is_zero()
+        assert theta_sigma_form(sigma, spec).is_zero()
 
 
 @pytest.mark.parametrize("n,k", [(3, 2), (4, 2)])
 def test_so_tensors_are_ad_invariant(n, k):
     spec = build_lie_algebra(SO, n)
     for sigma in all_permutations(2 * k):
-        assert ad_invariance_defect(psi_sigma_so(sigma, n, spec), spec) is None
+        assert ad_invariance_defect(theta_sigma_form(sigma, spec), spec) is None
 
 
 def test_non_invariant_probe_is_detected():

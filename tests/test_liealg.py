@@ -8,8 +8,8 @@ from repcur.liealg import (
     SP,
     build_lie_algebra,
     casimir_dual_bases,
+    form_matrix,
     sign_function,
-    symplectic_form_matrix,
 )
 from repcur.linalg import Mat
 from repcur.rational import Q
@@ -69,15 +69,20 @@ def test_dual_basis_pairing(family, n):
 def test_sp_elements_preserve_the_form():
     n = 2
     spec = build_lie_algebra(SP, n)
-    jhat = symplectic_form_matrix(n)
+    jhat = form_matrix(SP, n)
+    assert jhat.transpose() == jhat.scale(-1)
     for x in spec.basis:
         assert (x.transpose() * jhat + jhat * x).is_zero()
 
 
-def test_so_elements_are_antisymmetric():
-    spec = build_lie_algebra(SO, 4)
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_so_elements_preserve_the_form(n):
+    spec = build_lie_algebra(SO, n)
+    j = form_matrix(SO, n)
+    assert j.transpose() == j
+    assert all(j[i, n - 1 - i] == 1 for i in range(n))
     for x in spec.basis:
-        assert (x + x.transpose()).is_zero()
+        assert (x.transpose() * j + j * x).is_zero()
 
 
 def test_coords_round_trip_and_membership():
@@ -98,15 +103,32 @@ def test_sign_function():
         sign_function(2, 5)
 
 
-def test_cartan_split_only_where_rational():
-    assert build_lie_algebra(GL, 2).cartan_indices is not None
-    assert build_lie_algebra(SP, 2).cartan_indices is not None
-    assert build_lie_algebra(SO, 3).cartan_indices is None
+@pytest.mark.parametrize(
+    "family,n,rank",
+    [(GL, 2, 2), (GL, 3, 3), (SP, 1, 1), (SP, 2, 2), (SO, 3, 1), (SO, 4, 2), (SO, 5, 2)],
+)
+def test_every_family_has_a_split_cartan(family, n, rank):
+    """Diagonal Cartan elements; raising basis elements strictly upper and
+    lowering ones strictly lower triangular; together they are the basis."""
+    spec = build_lie_algebra(family, n)
+    assert len(spec.cartan_indices) == rank
+    parts = (spec.cartan_indices, spec.raising_indices, spec.lowering_indices)
+    assert sorted(i for part in parts for i in part) == list(range(spec.dim))
+    assert len(spec.raising_indices) == len(spec.lowering_indices)
+    for part, keep in zip(parts, (lambda r, c: r == c, lambda r, c: r < c, lambda r, c: r > c)):
+        for i in part:
+            assert all(keep(r, c) for (r, c), _ in spec.basis[i].items())
 
 
 @pytest.mark.parametrize(
-    "family,n,err", [(GL, 0, True), (SP, 0, True), (SO, 1, True), ("xx", 2, True)]
+    "family,n,err", [(GL, 0, True), (SP, 0, True), (SO, 1, True), (SO, 2, True), ("xx", 2, True)]
 )
 def test_rejects_bad_parameters(family, n, err):
     with pytest.raises(ValueError):
         build_lie_algebra(family, n)
+
+
+def test_so2_is_rejected_as_abelian():
+    msg = r"so\(2\) is abelian and its standard module is reducible"
+    with pytest.raises(ValueError, match=msg):
+        build_lie_algebra(SO, 2)

@@ -1,6 +1,7 @@
 """Modules: irrep construction, weights, Casimir scalars, commutants."""
 
 import dataclasses
+import tracemalloc
 
 import pytest
 
@@ -29,11 +30,17 @@ def sp2():
     return build_lie_algebra(SP, 1)
 
 
-def test_is_dominant():
-    assert is_dominant(GL, (3, 1, 0))
-    assert not is_dominant(GL, (0, 2))
-    assert is_dominant(GL, (1, -1))  # gl weights may go negative
-    assert not is_dominant(SP, (2, -1))
+def test_is_dominant(gl2):
+    gl3, sp4 = build_lie_algebra(GL, 3), build_lie_algebra(SP, 2)
+    so5, so6 = build_lie_algebra(SO, 5), build_lie_algebra(SO, 6)
+    assert is_dominant(gl3, (3, 1, 0))
+    assert not is_dominant(gl2, (0, 2))
+    assert is_dominant(gl2, (1, -1))  # gl weights may go negative
+    assert not is_dominant(sp4, (2, -1))
+    # type B: λ_m >= 0; type D: λ_{m-1} >= |λ_m|
+    assert is_dominant(so5, (1, 0)) and not is_dominant(so5, (1, -1))
+    assert is_dominant(so6, (1, 1, -1)) and is_dominant(so6, (2, 1, 1))
+    assert not is_dominant(so6, (1, 0, -1)) and not is_dominant(so6, (1, 0, 1))
 
 
 @pytest.mark.parametrize("family,n", [(GL, 2), (GL, 3), (SP, 1), (SP, 2), (SO, 3)])
@@ -109,6 +116,19 @@ def test_tensor_module_enforces_the_dimension_cap(gl2, monkeypatch):
         tensor_module([v, v])
 
 
+def test_build_irrep_checks_the_cap_before_allocating(gl2, monkeypatch):
+    # a list of 10**6 factors alone would take 8 MB
+    monkeypatch.delenv("REPCUR_MAX_DIM", raising=False)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="dimension at least 8192 exceeds"):
+            build_irrep(gl2, (10**6, 0), 10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
+
+
 @pytest.mark.parametrize(
     "lam,value", [((1, 0), Q(2)), ((2, 0), Q(6)), ((1, 1), Q(2))]
 )
@@ -141,8 +161,25 @@ def test_commutant_dimensions(gl2):
     assert commutant_dimension(tensor_module([v, v, v])) == 5
 
 
-def test_commutant_dimension_without_cartan():
+def test_so3_commutant_dimension():
     so3 = build_lie_algebra(SO, 3)
     w = standard_module(so3)
     # identity, the factor swap, and the invariant-pairing projector
     assert commutant_dimension(tensor_module([w, w])) == 3
+
+
+@pytest.mark.parametrize(
+    "n,d,mults",
+    [
+        (3, 3, [((3,), 1), ((2,), 2), ((1,), 3), ((0,), 1)]),
+        (4, 2, [((2, 0), 1), ((1, 1), 1), ((1, -1), 1), ((0, 0), 1)]),
+    ],
+)
+def test_so_isotypic_multiplicities(n, d, mults):
+    """Multiplicities in V^(x d) against the Brauer counts (up-down paths of
+    Young diagrams); for so(4) the shape (1, 1) splits into (1, 1) and
+    (1, -1)."""
+    v = standard_module(build_lie_algebra(SO, n))
+    comps = isotypic_decompose(tensor_module([v] * d))
+    assert [(c.mu, c.multiplicity) for c in comps] == mults
+    assert sum(c.multiplicity * c.irrep_dim for c in comps) == n**d

@@ -11,6 +11,7 @@ from repcur.modules import build_irrep, standard_module
 from repcur.poly import Poly
 from repcur.rational import Q
 from repcur.verify import (
+    casimir_scalar,
     check_ad_invariance,
     check_ad_invariance_family,
     check_casimir_formula,
@@ -79,6 +80,57 @@ def test_casimir_formula_nonstandard_factor(gl2):
     assert check_casimir_formula(em, Poly([1, 1]), Poly([0, 1, 1])).passed
 
 
+@pytest.mark.parametrize(
+    "n,expected",
+    [
+        (3, "mu=(2,): 5/2; mu=(1,): 3/2; mu=(0,): 1"),
+        (4, "mu=(2, 0): 7/2; mu=(1, 1): 5/2; mu=(1, -1): 5/2; mu=(0, 0): 3/2"),
+    ],
+    ids=["so3", "so4"],
+)
+def test_so_casimir_and_isotypic_irreducibility(n, expected):
+    # P = t, Q = 1 + t at the points 0, 1 give the scalar C_V + C_mu / 2:
+    # C_V = 1 on so(3) and 3/2 on so(4)
+    v = standard_module(build_lie_algebra(SO, n))
+    em = EvaluationModule([v, v], [Q(0), Q(1)])
+    r = check_casimir_formula(em, Poly.monomial(1), Poly([1, 1]))
+    assert r.passed
+    assert r.expected == expected
+    r = check_isotypic_irreducibility(em)
+    assert r.passed
+    assert all(part.endswith(": 1") for part in r.actual.split("; "))
+
+
+def _casimir_closed_form(family: str, n: int, lam):
+    """c <λ, λ + 2ρ> in ε-coordinates, c the trace-form normalization:
+    c = 1, ρ_i = (n+1)/2 - i for gl(n); c = 1/2, ρ_i = n+1-i for sp(2n);
+    c = 1/2, ρ_i = n/2 - i for so(n)."""
+    c, rho = {
+        GL: (Q(1), lambda i: Q(n + 1, 2) - i),
+        SP: (Q(1, 2), lambda i: Q(n + 1 - i)),
+        SO: (Q(1, 2), lambda i: Q(n, 2) - i),
+    }[family]
+    return c * sum(l * (l + 2 * rho(i)) for i, l in enumerate(lam, start=1))
+
+
+@pytest.mark.parametrize(
+    "family,n,lam",
+    [
+        (GL, 2, (1, 0)), (GL, 2, (2, 0)), (GL, 2, (1, 1)), (GL, 2, (2, 1)),
+        (GL, 3, (1, 0, 0)), (GL, 3, (2, 1, 0)), (GL, 3, (1, 1, 1)),
+        (SP, 1, (1,)), (SP, 1, (2,)),
+        (SP, 2, (1, 0)), (SP, 2, (1, 1)), (SP, 2, (2, 0)),
+        (SO, 3, (1,)), (SO, 3, (2,)),
+        (SO, 4, (1, 0)), (SO, 4, (1, 1)), (SO, 4, (1, -1)), (SO, 4, (2, 0)),
+        (SO, 5, (1, 0)), (SO, 5, (1, 1)),
+        (SO, 6, (1, 0, 0)), (SO, 6, (1, 1, 0)), (SO, 6, (1, 1, -1)), (SO, 6, (1, 1, 1)),
+    ],
+)
+def test_casimir_scalar_closed_form(family, n, lam):
+    spec = build_lie_algebra(family, n)
+    assert casimir_scalar(spec, lam, {}) == _casimir_closed_form(family, n, lam)
+
+
 def test_casimir_formula_validation(gl2, em3):
     with pytest.raises(ValueError):
         check_casimir_formula(em3, Poly.monomial(1), Poly.monomial(1))
@@ -124,7 +176,7 @@ def test_schur_weyl_composition_rejects_float_points():
 
 @pytest.mark.parametrize(
     "family,n,d,expected",
-    [(GL, 2, 2, 2), (GL, 2, 3, 5), (SP, 1, 2, 2), (SO, 3, 2, 3)],
+    [(GL, 2, 2, 2), (GL, 2, 3, 5), (SP, 1, 2, 2), (SO, 3, 2, 3), (SO, 5, 2, 3)],
 )
 def test_span_surjectivity(family, n, d, expected):
     spec = build_lie_algebra(family, n)
@@ -180,7 +232,9 @@ def test_cycle_generation_is_gl_only():
         check_cycle_generation(em)
 
 
-@pytest.mark.parametrize("family,n,d", [(GL, 2, 2), (GL, 2, 3), (SP, 1, 2), (SO, 3, 2)])
+@pytest.mark.parametrize(
+    "family,n,d", [(GL, 2, 2), (GL, 2, 3), (SP, 1, 2), (SO, 3, 2), (SO, 4, 2)]
+)
 def test_evaluation_irreducibility(family, n, d):
     spec = build_lie_algebra(family, n)
     v = standard_module(spec)
