@@ -22,7 +22,7 @@ import click
 from . import verify
 from .currents import EvaluationModule
 from .invariants import casimir_tensor, fft_tensors
-from .liealg import FAMILIES, GL, build_lie_algebra
+from .liealg import FAMILIES, GL, SO, build_lie_algebra
 from .modules import build_irrep, standard_module
 from .poly import Poly
 from .rational import parse_rat
@@ -87,7 +87,12 @@ def _emit(reports, config, output, expect_fail: bool):
     sys.exit(0 if all(r.passed for r in reports) != expect_fail else 1)
 
 
-def _family_option(f):
+def _family_options(f):
+    """--family, and -n, which ``_rank`` resolves when it is not given."""
+    f = click.option(
+        "-n", "n", type=int, default=None,
+        help="The n of gl(n), sp(2n) or so(n).  [default: 3 for so, else 2]",
+    )(f)
     return click.option(
         "--family",
         type=click.Choice(FAMILIES),
@@ -95,6 +100,14 @@ def _family_option(f):
         show_default=True,
         help="Lie algebra family.",
     )(f)
+
+
+def _rank(family: str, n):
+    """-n as given, else the smallest n the family's checks accept: 3 for so,
+    whose so(2) is abelian, and 2 otherwise."""
+    if n is not None:
+        return n
+    return 3 if family == SO else 2
 
 
 _common = [
@@ -134,12 +147,12 @@ def verify_group():
 
 
 @verify_group.command("ad-invariance")
-@_family_option
-@click.option("-n", "n", type=int, default=2, show_default=True)
+@_family_options
 @click.option("--degree", "-k", type=int, default=2, show_default=True)
 @_with_common
 def ad_invariance_cmd(family, n, degree, output, expect_fail):
     """Adjoint invariance of every FFT tensor of the given degree."""
+    n = _rank(family, n)
     spec = build_lie_algebra(family, n)
     reports = [verify.check_ad_invariance(casimir_tensor(spec), spec)]
     for th in fft_tensors(spec, degree):
@@ -150,14 +163,14 @@ def ad_invariance_cmd(family, n, degree, output, expect_fail):
 
 
 @verify_group.command("commutant")
-@_family_option
-@click.option("-n", "n", type=int, default=2, show_default=True)
+@_family_options
 @click.option("--points", default="0,1", show_default=True)
 @click.option("--polys", default="0,1;1,1", show_default=True,
               help="Coefficient lists (ascending), ';'-separated per slot.")
 @_with_common
 def commutant_cmd(family, n, points, polys, output, expect_fail):
     """The Casimir current commutes with the algebra action."""
+    n = _rank(family, n)
     em = _build_module(family, n, parse_points(points))
     reports = [verify.check_commutant(casimir_tensor(em.spec), parse_polys(polys), em)]
     _emit(reports, {"command": "commutant", "family": family, "n": n,
@@ -165,14 +178,14 @@ def commutant_cmd(family, n, points, polys, output, expect_fail):
 
 
 @verify_group.command("casimir")
-@_family_option
-@click.option("-n", "n", type=int, default=2, show_default=True)
+@_family_options
 @click.option("--weights", default=None, help='E.g. "2,0;1,0"; default: standard twice.')
 @click.option("--points", default="0,1", show_default=True)
 @click.option("--polys", default="0,1;1,1", show_default=True)
 @_with_common
 def casimir_cmd(family, n, weights, points, polys, output, expect_fail):
     """Two-point Casimir eigenvalues on each isotypic component."""
+    n = _rank(family, n)
     em = _build_module(family, n, parse_points(points), weights)
     ps = parse_polys(polys)
     if len(ps) != 2:
@@ -205,13 +218,13 @@ def schur_weyl_cmd(n, k, points, tau, output, expect_fail):
 
 
 @verify_group.command("span")
-@_family_option
-@click.option("-n", "n", type=int, default=2, show_default=True)
+@_family_options
 @click.option("--points", default="0,1", show_default=True)
 @click.option("--degree-cap", default="auto", show_default=True)
 @_with_common
 def span_cmd(family, n, points, degree_cap, output, expect_fail):
     """Current images span the commutant of the algebra action."""
+    n = _rank(family, n)
     em = _build_module(family, n, parse_points(points))
     cap = _resolve_cap(degree_cap, em.d)
     reports = [verify.check_span_surjectivity(em, degree_cap=cap)]
@@ -220,8 +233,7 @@ def span_cmd(family, n, points, degree_cap, output, expect_fail):
 
 
 @verify_group.command("irreducibility")
-@_family_option
-@click.option("-n", "n", type=int, default=2, show_default=True)
+@_family_options
 @click.option("--points", default="0,1,2", show_default=True)
 @click.option("--weights", default=None, help="Defaults to the standard module per point.")
 @click.option("--degree-cap", default="auto", show_default=True)
@@ -231,6 +243,7 @@ def span_cmd(family, n, points, degree_cap, output, expect_fail):
 def irreducibility_cmd(family, n, points, weights, degree_cap, isotypic,
                        output, expect_fail):
     """Evaluation-module irreducibility over the current algebra."""
+    n = _rank(family, n)
     em = _build_module(family, n, parse_points(points), weights)
     cap = _resolve_cap(degree_cap, em.d)
     reports = [verify.check_evaluation_irreducibility(em, degree_cap=cap)]

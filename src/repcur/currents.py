@@ -3,8 +3,12 @@
 An evaluation module attaches a point p_i to each tensor factor; x(P) acts
 on the i-th factor scaled by P(p_i).  Invariant tensors give elements
 θ(P_1,...,P_k) of the enveloping algebra whose matrices on an evaluation
-module are assembled here.  Operator words compose with the rightmost
-factor applying first (the standard left-module convention).
+module are assembled here: ``current_images`` builds them for every tuple
+of polynomials in a product of slots in one pass that multiplies each
+shared word prefix once, and ``current_operator_matrix`` of
+``theta_operator`` is the monomial expansion kept as the independent
+reference.  Operator words compose with the rightmost factor applying
+first (the standard left-module convention).
 """
 
 from __future__ import annotations
@@ -181,21 +185,92 @@ def _word_matrix(word, em: EvaluationModule) -> Mat:
     return Mat.identity(em.dim) if m is None else m
 
 
+def _prefix_levels(theta: InvariantTensor) -> list:
+    """θ compiled into its distinct prefix sums, level by level.
+
+    The single level-k sum is θ.  Grouping the terms of a level-L sum by
+    their last letter b writes it as Σ_b S_b ⊗ b, with each S_b a level-(L−1)
+    sum; equal sums are interned, so a shared prefix is one node.
+    ``levels[L-1]`` lists the level-L nodes as tuples of (b, child), where
+    child indexes ``levels[L-2]`` and, at level 1, is the coefficient.
+    """
+    levels = []
+    pending = {tuple((idx, c) for c, idx in theta.terms): 0}  # sum -> node index
+    for last in range(theta.k, 0, -1):
+        below: dict = {}
+        nodes = []
+        for terms in pending:
+            groups: dict = {}
+            for idx, c in terms:
+                groups.setdefault(idx[-1], []).append((idx[:-1], c))
+            if last == 1:
+                # the words differ, so each letter keeps one empty prefix
+                nodes.append(tuple((b, g[0][1]) for b, g in groups.items()))
+            else:
+                nodes.append(
+                    tuple(
+                        (b, below.setdefault(tuple(sorted(g)), len(below)))
+                        for b, g in groups.items()
+                    )
+                )
+        levels.append(nodes)
+        pending = below
+    levels.reverse()
+    return levels
+
+
+def current_images(theta: InvariantTensor, slot_polys, em: EvaluationModule):
+    """Yield θ(P_1,...,P_k) for every tuple of ``itertools.product(*slot_polys)``,
+    in that order.
+
+    θ is compiled once into its distinct prefix sums (``_prefix_levels``);
+    a level-L value is Σ_b value_{L−1} · b(P_L), with the coefficients on
+    the level-1 sums.  Levels are evaluated in product order and only the
+    chain of values for the current tuple is held, so a prefix shared by
+    many terms or many tuples is multiplied once and nothing outlives the
+    call.  Raises ValueError when the number of slots is not the degree.
+    """
+    if len(slot_polys) != theta.k:
+        raise ValueError(
+            f"arity mismatch: tensor degree {theta.k}, got {len(slot_polys)} polynomials"
+        )
+    if theta.k == 0:
+        yield Mat.identity(em.dim).scale(sum(c for c, _ in theta.terms))
+        return
+    levels = _prefix_levels(theta)
+    dim = em.dim
+
+    def walk(level: int, below: list):
+        for poly in slot_polys[level]:
+            if level:
+                values = [
+                    lincomb(
+                        ((1, below[child] * em.basis_action(b, poly)) for b, child in node),
+                        dim,
+                        dim,
+                    )
+                    for node in levels[level]
+                ]
+            else:
+                values = [
+                    lincomb(((c, em.basis_action(b, poly)) for b, c in node), dim, dim)
+                    for node in levels[0]
+                ]
+            if level + 1 == theta.k:
+                yield values[0]
+            else:
+                yield from walk(level + 1, values)
+
+    yield from walk(0, [])
+
+
 def invariant_operator_matrix(
     theta: InvariantTensor, polys: list, em: EvaluationModule
 ) -> Mat:
-    """Matrix of θ(P_1,...,P_k) assembled without monomial expansion.
+    """Matrix of θ(P_1,...,P_k): the single-tuple case of ``current_images``.
 
     Equal to current_operator_matrix(theta_operator(theta, polys), em) by
-    linearity of the evaluation action in each polynomial; this form caches
-    one matrix per (basis element, polynomial) and is the fast path.
+    linearity of the evaluation action in each polynomial, without the
+    monomial expansion.
     """
-    if len(polys) != theta.k:
-        raise ValueError(
-            f"arity mismatch: tensor degree {theta.k}, got {len(polys)} polynomials"
-        )
-    return lincomb(
-        ((coeff, _word_matrix(zip(indices, polys), em)) for coeff, indices in theta.terms),
-        em.dim,
-        em.dim,
-    )
+    return next(current_images(theta, [[p] for p in polys], em))

@@ -21,14 +21,18 @@ from dataclasses import dataclass
 from .currents import (
     EvaluationModule,
     InvariantTensor,
+    current_images,
     invariant_operator_matrix,
 )
 from .invariants import (
     Permutation,
+    all_permutations,
     casimir_tensor,
     fft_tensors,
+    paired_factor_table,
     schur_weyl_polys,
     theta_cycle_gl,
+    theta_sigma_form,
     theta_sigma_gl,
 )
 from .liealg import GL, SO, SP, LieAlgebraSpec, build_lie_algebra
@@ -306,10 +310,26 @@ def _default_cap(em: EvaluationModule, degree_cap) -> int:
 
 
 def _distinct_tensors(spec: LieAlgebraSpec, k: int):
-    """FFT tensors of degree k, deduplicated up to nonzero scalar."""
+    """FFT tensors of degree k, deduplicated up to nonzero scalar.
+
+    For sp and so only the σ ∈ Σ_{2k} whose factor pairs ascend,
+    σ(2j−1) < σ(2j), are expanded: swapping the slots of a pair scales θ_σ
+    by −ε (see ``paired_factor_table``), so the first σ of each class of
+    proportional tensors ascends and the list equals the one deduplicated
+    from all of ``fft_tensors``.
+    """
+    if spec.family == GL:
+        tensors = fft_tensors(spec, k)
+    else:
+        factors = paired_factor_table(spec)
+        tensors = (
+            theta_sigma_form(s, spec, factors)
+            for s in all_permutations(2 * k)
+            if all(s.images[i] < s.images[i + 1] for i in range(0, 2 * k, 2))
+        )
     seen = set()
     out = []
-    for th in fft_tensors(spec, k):
+    for th in tensors:
         if th.is_zero():
             continue
         key = th.canonical_key()
@@ -323,12 +343,11 @@ def _distinct_tensors(spec: LieAlgebraSpec, k: int):
 def fft_current_images(em: EvaluationModule, degree_cap: int):
     """Matrices of theta(t^{n_1}, ..., t^{n_k}) over the FFT generators:
     tensor degrees k = 1..d (the number of factors) and all unsorted degree
-    tuples bounded by degree_cap."""
+    tuples bounded by degree_cap, in ``itertools.product`` order."""
+    monomials = [Poly.monomial(m) for m in range(degree_cap + 1)]
     for k in range(1, em.d + 1):
         for th in _distinct_tensors(em.spec, k):
-            for degs in itertools.product(range(degree_cap + 1), repeat=k):
-                polys = [Poly.monomial(m) for m in degs]
-                yield invariant_operator_matrix(th, polys, em)
+            yield from current_images(th, [monomials] * k, em)
 
 
 @_check("span_surjectivity")
@@ -423,12 +442,13 @@ def check_cycle_generation(em: EvaluationModule, degree_cap=None):
         raise ValueError("cycle generation requires pairwise distinct points")
     expected = commutant_dimension(em.carrier)
 
+    monomials = [Poly.monomial(m) for m in range(cap + 1)]
     images = []  # (degree tuple, image)
     for j in range(1, em.d + 1):
-        th = theta_cycle_gl(j, em.spec.n)
-        for degs in itertools.product(range(cap + 1), repeat=j):
-            polys = [Poly.monomial(m) for m in degs]
-            images.append((degs, invariant_operator_matrix(th, polys, em)))
+        images += zip(
+            itertools.product(range(cap + 1), repeat=j),
+            current_images(theta_cycle_gl(j, em.spec.n), [monomials] * j, em),
+        )
     actual = len(algebra_closure([img for _, img in images], em.dim))
     sorted_images = [img for degs, img in images if list(degs) == sorted(degs)]
     params = {

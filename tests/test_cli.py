@@ -74,6 +74,15 @@ def test_irreducibility_with_expect_fail(runner):
     assert invoke(runner, args + ["--expect-fail"]).exit_code == 0
 
 
+@pytest.mark.parametrize(
+    "command", ["casimir", "span", "commutant", "irreducibility", "ad-invariance"]
+)
+def test_so_commands_default_to_so3(runner, command):
+    res = invoke(runner, ["verify", command, "--family", "so", "-o", "-"])
+    assert res.exit_code == 0
+    assert json.loads(res.output)["config"]["n"] == 3
+
+
 def test_usage_errors_exit_2(runner):
     cases = [
         ["verify", "casimir", "--weights", "0,2"],  # not dominant
@@ -81,7 +90,7 @@ def test_usage_errors_exit_2(runner):
         ["verify", "casimir", "--points", "1,x"],  # malformed rational
         ["verify", "span", "--degree-cap", "frogs"],
         ["verify", "schur-weyl", "--tau", "5,9"],
-        ["verify", "casimir", "--family", "so"],
+        ["verify", "casimir", "--family", "so", "-n", "2"],  # so(2) is abelian
         ["verify", "commutant", "--polys", "0,x"],  # malformed coefficient
         ["verify", "casimir", "--polys", "0,1;"],  # empty coefficient
         ["verify", "span", "-n", "0"],  # no gl(0)

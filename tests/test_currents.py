@@ -1,18 +1,21 @@
 """Evaluation modules and the current-operator calculus."""
 
+import itertools
+
 import pytest
 
 from repcur.currents import (
     CurrentOperator,
     EvaluationModule,
     InvariantTensor,
+    current_images,
     current_operator_matrix,
     evaluation_action,
     invariant_operator_matrix,
     theta_operator,
 )
-from repcur.invariants import Permutation, casimir_tensor, theta_sigma_gl
-from repcur.liealg import GL, SP, build_lie_algebra
+from repcur.invariants import Permutation, casimir_tensor, fft_tensors, theta_sigma_gl
+from repcur.liealg import GL, SO, SP, build_lie_algebra
 from repcur.linalg import Mat
 from repcur.modules import standard_module
 from repcur.poly import Poly, lagrange_interpolant
@@ -94,6 +97,57 @@ def test_theta_operator_expansion_matches_fast_path(gl2, em3):
     slow = current_operator_matrix(theta_operator(theta, polys), em3)
     fast = invariant_operator_matrix(theta, polys, em3)
     assert slow == fast
+
+
+# slot lists of unequal lengths, with polynomials that are not monomials
+SLOT_POLYS = [
+    [Poly([1, 1]), Poly([0, Q(1, 2), 1])],
+    [Poly.monomial(2), Poly([-3]), Poly([2, 0, -1])],
+    [Poly([0, 1])],
+]
+
+
+def _tensors_and_module(family, n, k, d):
+    """Every nonzero FFT tensor of degree k, the Casimir when k = 2 and a
+    tensor that is not invariant, on d standard factors at 0, ..., d-1."""
+    spec = build_lie_algebra(family, n)
+    tensors = [th for th in fft_tensors(spec, k) if not th.is_zero()]
+    if k == 2:
+        tensors.append(casimir_tensor(spec))
+    words = list(itertools.product(range(spec.dim), repeat=k))[::3]
+    tensors.append(InvariantTensor.from_dict(k, {w: Q(i % 5 - 2, 3) for i, w in enumerate(words)}))
+    v = standard_module(spec)
+    return tensors, EvaluationModule([v] * d, [Q(i) for i in range(d)])
+
+
+@pytest.mark.parametrize(
+    "family,n,k,d", [(GL, 2, 3, 3), (GL, 2, 1, 2), (SP, 1, 2, 2), (SO, 3, 2, 2)]
+)
+def test_current_images_match_the_reference_expansion(family, n, k, d):
+    tensors, em = _tensors_and_module(family, n, k, d)
+    slots = SLOT_POLYS[:k]
+    for theta in tensors:
+        want = [
+            current_operator_matrix(theta_operator(theta, list(polys)), em)
+            for polys in itertools.product(*slots)
+        ]
+        assert list(current_images(theta, slots, em)) == want
+
+
+def test_current_images_of_degree_zero_and_of_zero(em3):
+    scalar = InvariantTensor.from_dict(0, {(): Q(3)})
+    assert list(current_images(scalar, [], em3)) == [Mat.identity(em3.dim).scale(3)]
+    zero = InvariantTensor(2, ())
+    images = list(current_images(zero, SLOT_POLYS[:2], em3))
+    assert len(images) == 6
+    assert all(img == Mat.zeros(em3.dim, em3.dim) for img in images)
+
+
+def test_current_images_arity_check(gl2, em3):
+    with pytest.raises(ValueError):
+        list(current_images(casimir_tensor(gl2), SLOT_POLYS, em3))
+    with pytest.raises(ValueError):
+        invariant_operator_matrix(casimir_tensor(gl2), [Poly.monomial(0)], em3)
 
 
 def test_theta_operator_arity_check(gl2):

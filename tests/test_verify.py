@@ -4,7 +4,7 @@ import pytest
 
 from repcur import verify
 from repcur.currents import EvaluationModule, InvariantTensor
-from repcur.invariants import Permutation, casimir_tensor, theta_sigma_gl
+from repcur.invariants import Permutation, casimir_tensor, fft_tensors, theta_sigma_gl
 from repcur.liealg import GL, SO, SP, build_lie_algebra
 from repcur.linalg import Mat
 from repcur.modules import build_irrep, standard_module
@@ -187,6 +187,17 @@ def test_span_surjectivity(family, n, d, expected):
     assert r.actual == str(expected)
 
 
+@pytest.mark.parametrize("family,n,kmax", [(SP, 1, 3), (SP, 2, 2), (SO, 3, 3), (SO, 4, 2)])
+def test_distinct_tensors_equal_the_full_enumeration(family, n, kmax):
+    spec = build_lie_algebra(family, n)
+    for k in range(1, kmax + 1):
+        first = {}  # canonical key -> first nonzero tensor, in enumeration order
+        for th in fft_tensors(spec, k):
+            if not th.is_zero():
+                first.setdefault(th.canonical_key(), th)
+        assert verify._distinct_tensors(spec, k) == list(first.values())
+
+
 def test_span_check_rejects_image_outside_commutant(em2, monkeypatch):
     # the identity plus one non-commuting matrix span 2 dimensions, the
     # commutant dimension of V (x) V, so only containment can catch it
@@ -222,6 +233,21 @@ def test_cycle_generation(em3):
     assert r.passed
     assert r.actual == "5"
     assert r.parameters["sorted_tuple_closure_dim"] == 5
+
+
+def test_cycle_generation_at_four_points(gl2):
+    v = standard_module(gl2)
+    r = check_cycle_generation(EvaluationModule([v] * 4, [Q(i) for i in range(4)]))
+    assert r.passed
+    assert r.actual == "14"
+    assert r.parameters["sorted_tuple_closure_dim"] == 14
+
+
+def test_sp_isotypic_irreducibility_at_three_points():
+    v = standard_module(build_lie_algebra(SP, 1))
+    r = check_isotypic_irreducibility(EvaluationModule([v] * 3, [Q(0), Q(1), Q(2)]))
+    assert r.passed
+    assert r.actual == "mu=(3,): 1; mu=(1,): 4"
 
 
 def test_cycle_generation_is_gl_only():
