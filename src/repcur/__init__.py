@@ -1,6 +1,6 @@
 """Exact construction and verification of current-algebra evaluation modules."""
 
-from .rational import Q, rat, parse_rat, format_rat
+from .rational import Q, parse_rat
 from .linalg import Mat, rref, kernel_basis, SpanTracker, algebra_closure
 from .poly import Poly, lagrange_interpolant
 from .liealg import GL, SP, SO, FAMILIES, LieAlgebraSpec, build_lie_algebra

@@ -21,7 +21,7 @@ import click
 
 from . import verify
 from .currents import EvaluationModule
-from .invariants import casimir_tensor, fft_tensors
+from .invariants import casimir_tensor
 from .liealg import FAMILIES, GL, SO, build_lie_algebra
 from .modules import build_irrep, standard_module
 from .poly import Poly
@@ -151,13 +151,14 @@ def verify_group():
 @click.option("--degree", "-k", type=int, default=2, show_default=True)
 @_with_common
 def ad_invariance_cmd(family, n, degree, output, expect_fail):
-    """Adjoint invariance of every FFT tensor of the given degree."""
+    """Adjoint invariance of the Casimir tensor and of every FFT tensor of
+    the given degree (one family check)."""
     n = _rank(family, n)
     spec = build_lie_algebra(family, n)
-    reports = [verify.check_ad_invariance(casimir_tensor(spec), spec)]
-    for th in fft_tensors(spec, degree):
-        if not th.is_zero():
-            reports.append(verify.check_ad_invariance(th, spec))
+    reports = [
+        verify.check_ad_invariance(casimir_tensor(spec), spec),
+        verify.check_ad_invariance_family(spec, degree),
+    ]
     _emit(reports, {"command": "ad-invariance", "family": family, "n": n,
                     "degree": degree}, output, expect_fail)
 

@@ -44,7 +44,6 @@ class LieAlgebraSpec:
     matrix_size: int
     basis: tuple
     bracket: dict = field(compare=False)
-    form_gram: Mat = field(compare=False)
     gram_inverse: Mat = field(compare=False)
     dual_basis: tuple = field(compare=False)
     cartan_indices: tuple
@@ -192,7 +191,6 @@ def build_lie_algebra(family: str, n: int) -> LieAlgebraSpec:
         matrix_size=size,
         basis=tuple(basis),
         bracket={},
-        form_gram=gram,
         gram_inverse=gram_inv,
         dual_basis=tuple(dual),
         cartan_indices=tuple(cartan),
@@ -204,8 +202,3 @@ def build_lie_algebra(family: str, n: int) -> LieAlgebraSpec:
             c = spec.coords(basis[i].commutator(basis[j]))
             spec.bracket[(i, j)] = {k: v for k, v in enumerate(c) if v}
     return spec
-
-
-def casimir_dual_bases(spec: LieAlgebraSpec):
-    """Pairs (e_i, e^i) with exact trace-form duality ⟨e_i, e^j⟩ = δ_ij."""
-    return list(zip(spec.basis, spec.dual_basis))

@@ -356,16 +356,6 @@ class SpanTracker:
         return not self._reduce(self._sparse(vec))
 
 
-def span_dimension(vectors_or_mats) -> int:
-    """Dimension of the rational span of vectors (or row-major matrices)."""
-    tracker = None
-    for item in vectors_or_mats:
-        if tracker is None:
-            tracker = SpanTracker(item.rows * item.cols if isinstance(item, Mat) else len(item))
-        tracker.add(item)
-    return tracker.dim if tracker is not None else 0
-
-
 def algebra_closure(gens, size: int) -> list:
     """Basis of the smallest unital matrix algebra containing ``gens``.
 

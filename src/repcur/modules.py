@@ -4,7 +4,12 @@ Irreducible modules are cut out of tensor powers of the standard module by
 highest-weight cyclic generation: solve for a highest weight vector (joint
 kernel of the raising actions inside the target weight space), then close
 under the lowering actions.  One algorithm serves gl, sp and so, whose
-realizations all have a rational split Cartan.
+realizations all have a Cartan that is diagonal in the standard basis.
+
+Every module built here has a basis of weight vectors: the Cartan acts
+diagonally, with integer entries, on the carrier.  Weights are read off
+those diagonals, so weight spaces, isotypic splitting and the commutant's
+block structure need no eigenvalue search.
 """
 
 from __future__ import annotations
@@ -17,13 +22,12 @@ from .liealg import GL, SO, LieAlgebraSpec
 from .linalg import (
     Mat,
     SpanTracker,
-    inverse,
     kernel_basis,
     lincomb,
     solve_columns,
     stack_rows,
 )
-from .rational import ONE
+from .rational import ONE, exact
 
 Weight = tuple  # integer tuple in epsilon-coordinates
 
@@ -46,14 +50,13 @@ def is_dominant(spec: LieAlgebraSpec, coords: Weight) -> bool:
 class GModule:
     """A g-module: carrier dimension plus one action matrix per basis element.
 
-    weight_bound caps the absolute value of any Cartan eigenvalue on the
-    carrier; it makes exact eigenvalue searches finite.
+    The carrier basis is a weight basis: every Cartan action is a diagonal
+    matrix with integer entries.
     """
 
     spec: LieAlgebraSpec
     dim: int
     actions: list
-    weight_bound: int
     label: str = ""
     highest_weight: tuple | None = None
 
@@ -91,13 +94,13 @@ class IsotypicComponent:
 def standard_module(spec: LieAlgebraSpec) -> GModule:
     acts = list(spec.basis)
     hw = (1,) + (0,) * (len(spec.cartan_indices) - 1)
-    return GModule(spec, spec.matrix_size, acts, 1, label="V", highest_weight=hw)
+    return GModule(spec, spec.matrix_size, acts, label="V", highest_weight=hw)
 
 
 def trivial_module(spec: LieAlgebraSpec) -> GModule:
     one = Mat.zeros(1, 1)
     hw = (0,) * len(spec.cartan_indices)
-    return GModule(spec, 1, [one] * spec.dim, 0, label="1", highest_weight=hw)
+    return GModule(spec, 1, [one] * spec.dim, label="1", highest_weight=hw)
 
 
 def _promote(a: Mat, dims: list, factor: int) -> Mat:
@@ -158,63 +161,61 @@ def tensor_module(factors: list) -> GModule:
     total = _capped_dimension(dims)
     if len(factors) == 1:
         f = factors[0]
-        return GModule(spec, f.dim, list(f.actions), f.weight_bound, f.label)
+        return GModule(spec, f.dim, list(f.actions), f.label)
     actions = [
         lincomb(((ONE, _promote(f.actions[b], dims, i)) for i, f in enumerate(factors)), total, total)
         for b in range(spec.dim)
     ]
-    bound = sum(f.weight_bound for f in factors)
     label = "⊗".join(f.label or "?" for f in factors)
-    return GModule(spec, total, actions, bound, label)
+    return GModule(spec, total, actions, label)
 
 
-def _restrict(action: Mat, basis_cols: Mat) -> Mat:
-    """Matrix of an operator on the invariant subspace spanned by the columns."""
-    return solve_columns(basis_cols, action * basis_cols)
+def _carrier_weights(module: GModule) -> list:
+    """The weight of each carrier basis vector, a tuple of ints read off the
+    diagonals of the Cartan actions.
 
-
-def weight_space(module: GModule, weight: Weight) -> Mat:
-    """Column basis of the simultaneous Cartan eigenspace for ``weight``."""
-    cartans = module.spec.cartan_indices
-    if len(weight) != len(cartans):
-        raise ValueError("weight length does not match Cartan rank")
-    ident = Mat.identity(module.dim)
-    stacked = stack_rows(
-        [module.actions[h] - ident.scale(c) for h, c in zip(cartans, weight)]
-    )
-    cols = kernel_basis(stacked)
-    return Mat.from_columns(cols, module.dim)
+    Raises ValueError if a Cartan action has an off-diagonal or a
+    non-integral entry: then the carrier basis is not a weight basis.
+    """
+    weights = [[0] * len(module.spec.cartan_indices) for _ in range(module.dim)]
+    for k, h in enumerate(module.spec.cartan_indices):
+        for (r, c), v in module.actions[h].items():
+            v = exact(v)
+            if r != c or type(v) is not int:
+                raise ValueError(
+                    f"Cartan action {h} is not diagonal with integer entries: "
+                    f"entry {v} at {(r, c)}"
+                )
+            weights[r][k] = v
+    return [tuple(w) for w in weights]
 
 
 def weight_decomposition(module: GModule, basis_cols: Mat | None = None):
-    """Split a module (or an invariant subspace of it) into weight spaces.
+    """Split a module (or a subspace spanned by weight vectors) into weight
+    spaces.
 
-    Returns a list of (weight, column basis in carrier coordinates).
-    Recursively splits by each Cartan element; eigenvalues are integers
-    bounded by module.weight_bound, so the search is finite and exact.
+    Returns a list of (weight, column basis in carrier coordinates) in
+    ascending weight order.  The columns of each weight space are the given
+    columns of that weight in their given order (the unit columns when
+    ``basis_cols`` is None).  Relies on the carrier basis being a weight
+    basis; a column that mixes weights raises ValueError.
     """
-    cartans = module.spec.cartan_indices
-    bound = module.weight_bound
+    weights = _carrier_weights(module)
     if basis_cols is None:
         basis_cols = Mat.identity(module.dim)
-
-    pieces = [((), basis_cols)]
-    for h in cartans:
-        action = module.actions[h]
-        new_pieces = []
-        for wt, cols in pieces:
-            restricted = _restrict(action, cols)
-            found = 0
-            for c in range(-bound, bound + 1):
-                shifted = restricted - Mat.identity(restricted.rows).scale(c)
-                ker = kernel_basis(shifted)
-                if ker:
-                    sub = cols * Mat.from_columns(ker, restricted.rows)
-                    new_pieces.append((wt + (c,), sub))
-                    found += sub.cols
-            if found != cols.cols:
-                raise RuntimeError("Cartan action not diagonalizable in bound range")
-        pieces = new_pieces
+    columns = [{} for _ in range(basis_cols.cols)]
+    for (i, j), v in basis_cols.items():
+        columns[j][i] = v
+    spaces: dict = {}
+    for j, col in enumerate(columns):
+        found = {weights[i] for i in col}
+        if len(found) != 1:
+            raise ValueError(f"column {j} is not a weight vector: weights {sorted(found)}")
+        spaces.setdefault(found.pop(), []).append(col)
+    pieces = []
+    for wt, cols in sorted(spaces.items()):
+        entries = {(i, k): v for k, col in enumerate(cols) for i, v in col.items()}
+        pieces.append((wt, Mat.from_entries(module.dim, len(cols), entries)))
     return pieces
 
 
@@ -258,12 +259,12 @@ def build_irrep(spec: LieAlgebraSpec, lam: Weight, m: int) -> GModule:
     if sum(map(abs, lam)) > m:
         raise ValueError(f"weight {lam} cannot occur in tensor degree {m}")
     if m == 0:
-        return GModule(spec, 1, [Mat.zeros(1, 1) for _ in spec.basis], 0, "V(0)", lam)
+        return GModule(spec, 1, [Mat.zeros(1, 1) for _ in spec.basis], "V(0)", lam)
 
     _capped_dimension(itertools.repeat(spec.matrix_size, m))
     ambient = tensor_module([standard_module(spec)] * m)
-    wspace = weight_space(ambient, lam)
-    if wspace.cols == 0:
+    wspace = dict(weight_decomposition(ambient)).get(lam)
+    if wspace is None:
         raise ValueError(f"weight {lam} does not occur in V^(x{m})")
     raised = stack_rows(
         [ambient.actions[r] * wspace for r in spec.raising_indices]
@@ -273,8 +274,9 @@ def build_irrep(spec: LieAlgebraSpec, lam: Weight, m: int) -> GModule:
         raise ValueError(f"no highest weight vector of weight {lam} in V^(x{m})")
     hwv = wspace.apply(ker[0])
     basis_cols = _lowering_closure(ambient, Mat.from_columns([hwv], ambient.dim))
-    actions = [_restrict(a, basis_cols) for a in ambient.actions]
-    return GModule(spec, basis_cols.cols, actions, m, f"V{lam}", lam)
+    # each action restricted to the invariant subspace spanned by basis_cols
+    actions = [solve_columns(basis_cols, a * basis_cols) for a in ambient.actions]
+    return GModule(spec, basis_cols.cols, actions, f"V{lam}", lam)
 
 
 def isotypic_decompose(module: GModule):
@@ -348,8 +350,9 @@ def commutant_basis(actions: list, carrier: GModule) -> list:
     """Basis of {M : [M, A] = 0 for every A in actions}.
 
     ``carrier`` is the g-module the actions act on, and its g-action must be
-    among them.  The search is seeded from the weight-space block structure
-    (a commuting M preserves every weight space), which keeps the linear
+    among them.  A commuting M preserves every weight space, and the carrier
+    basis is a weight basis, so the search is seeded with the matrix units
+    E_pq for carrier indices p, q of equal weight; this keeps the linear
     systems small.  A combined operator is intersected first so later
     intersections run in low dimension.
     """
@@ -357,22 +360,16 @@ def commutant_basis(actions: list, carrier: GModule) -> list:
         raise ValueError("commutant of an empty action list is everything")
     size = actions[0].rows
 
-    pieces = weight_decomposition(carrier)
-    t = Mat.from_columns([c for _, piece in pieces for c in piece.columns()], size)
-    t_inv = inverse(t)
-    work_actions = [t_inv * a * t for a in actions]
     candidates: list[Mat] = []
-    offset = 0
-    for _, piece in pieces:
-        block = range(offset, offset + piece.cols)
+    for _, space in weight_decomposition(carrier):
+        block = [i for (i, _), _ in space.items()]  # the rows of its unit columns
         candidates.extend(Mat.from_entries(size, size, {(p, q): 1}) for p in block for q in block)
-        offset += piece.cols
 
-    combined = lincomb(((i + 1, a) for i, a in enumerate(work_actions)), size, size)
+    combined = lincomb(((i + 1, a) for i, a in enumerate(actions)), size, size)
     candidates = _kernel_combinations(candidates, combined)
-    for a in work_actions:
+    for a in actions:
         candidates = _kernel_combinations(candidates, a)
-    return [t * m * t_inv for m in candidates]
+    return candidates
 
 
 def commutant_dimension(module: GModule) -> int:

@@ -25,13 +25,6 @@ ZERO = Q(0)
 ONE = Q(1)
 
 
-def rat(value, den=None):
-    """Build an exact rational from ints, a rational, or an 'a/b' string."""
-    if den is not None:
-        return Q(value, den)
-    return Q(value)
-
-
 def exact(v):
     """v as an int when integral, else as a Q; a float raises TypeError."""
     if type(v) is int:
@@ -59,8 +52,3 @@ def parse_rat(token: str):
         return Q(int(token))
     except (ValueError, TypeError):
         raise ValueError(f"malformed rational {token!r}") from None
-
-
-def format_rat(q) -> str:
-    """Render a rational exactly, e.g. '-3/2' or '5'."""
-    return str(q)

@@ -57,6 +57,16 @@ def test_ad_invariance_command(runner):
     assert res.exit_code == 0
 
 
+def test_ad_invariance_command_emits_the_family_check(runner):
+    # the Casimir and one family check, not one report per FFT tensor
+    res = invoke(runner, ["verify", "ad-invariance", "--family", "sp", "-n", "1",
+                          "-k", "3", "-o", "-"])
+    assert res.exit_code == 0
+    checks = json.loads(res.output)["checks"]
+    assert [c["check_name"] for c in checks] == ["ad_invariance", "ad_invariance_family"]
+    assert checks[1]["parameters"]["tensors"] == 384
+
+
 def test_schur_weyl_command(runner):
     res = invoke(runner, ["verify", "schur-weyl", "-n", "2", "-k", "2",
                           "--points", "0,1/2", "--tau", "(1 2)", "-o", "-"])

@@ -15,7 +15,6 @@ from repcur.linalg import (
     rank,
     rref,
     solve_columns,
-    span_dimension,
 )
 from repcur.rational import ONE, Q, ZERO, exact
 
@@ -98,7 +97,9 @@ def test_span_tracker():
 def test_span_dimension_of_matrices():
     a = mat([[1, 0], [0, 0]])
     b = mat([[0, 0], [0, 1]])
-    assert span_dimension([a, b, a + b]) == 2
+    t = SpanTracker(4)  # a Mat is added as its row-major entries
+    assert t.add(a) and t.add(b) and not t.add(a + b)
+    assert t.dim == 2
 
 
 def test_algebra_closure_full_matrix_algebra():

@@ -6,6 +6,7 @@ import tracemalloc
 import pytest
 
 from repcur.liealg import GL, SO, SP, build_lie_algebra
+from repcur.linalg import Mat
 from repcur.modules import (
     build_irrep,
     casimir_eigenvalue,
@@ -91,12 +92,45 @@ def test_build_irrep_rejects_bad_weight(gl2):
         build_irrep(gl2, (0, 0, 0), 0)  # wrong length
 
 
-def test_weight_decomposition_fault_is_a_runtime_error(gl2):
-    # a weight bound below the module's weights breaks an invariant of the
-    # module; no valid input can cause it, so it is not a ValueError
-    narrow = dataclasses.replace(standard_module(gl2), weight_bound=0)
-    with pytest.raises(RuntimeError, match="not diagonalizable"):
-        weight_decomposition(narrow)
+def test_weight_decomposition_needs_a_diagonal_cartan(gl2):
+    # V in the basis (e_1, e_1 + e_2): still a g-module, but the basis is
+    # not a weight basis, so the Cartan action has an off-diagonal entry
+    v = standard_module(gl2)
+    g, g_inv = Mat([[1, 1], [0, 1]]), Mat([[1, -1], [0, 1]])
+    skew = dataclasses.replace(v, actions=[g_inv * a * g for a in v.actions])
+    assert skew.check_bracket_compatibility()
+    with pytest.raises(ValueError, match="not diagonal"):
+        weight_decomposition(skew)
+
+
+def test_weight_decomposition_rejects_a_column_that_mixes_weights(gl2):
+    v = standard_module(gl2)
+    with pytest.raises(ValueError, match="column 1 is not a weight vector"):
+        weight_decomposition(v, Mat([[1, 1], [0, 1]]))
+
+
+@pytest.mark.parametrize(
+    "family,n,factors,spaces",
+    [
+        (GL, 2, [(2, 0), None], [((0, 3), 1), ((1, 2), 2), ((2, 1), 2), ((3, 0), 1)]),
+        (SO, 3, [None], [((-1,), 1), ((0,), 1), ((1,), 1)]),
+    ],
+)
+def test_weight_decomposition_pins(family, n, factors, spaces):
+    """Weight spaces in ascending weight order; None stands for V."""
+    spec = build_lie_algebra(family, n)
+    module = tensor_module(
+        [standard_module(spec) if lam is None else build_irrep(spec, lam, sum(lam)) for lam in factors]
+    )
+    assert [(w, cols.cols) for w, cols in weight_decomposition(module)] == spaces
+
+
+def test_weights_are_ints(gl2):
+    v = standard_module(gl2)
+    cube = tensor_module([v, v, v])
+    assert all(type(c) is int for w, _ in weight_decomposition(cube) for c in w)
+    comps = isotypic_decompose(cube)
+    assert [f"mu={c.mu}" for c in comps] == ["mu=(3, 0)", "mu=(2, 1)"]
 
 
 def test_tensor_module_enforces_the_dimension_cap(gl2, monkeypatch):
@@ -159,6 +193,10 @@ def test_commutant_dimensions(gl2):
     assert commutant_dimension(tensor_module([v, v])) == 2
     # multiplicities 1 and 2: 1^2 + 2^2
     assert commutant_dimension(tensor_module([v, v, v])) == 5
+    # sp and so: the Brauer counts, sums of squared multiplicities
+    for family, n, d, dim in [(SP, 2, 2, 3), (SO, 4, 2, 4), (SO, 3, 3, 15)]:
+        w = standard_module(build_lie_algebra(family, n))
+        assert commutant_dimension(tensor_module([w] * d)) == dim, (family, n, d)
 
 
 def test_so3_commutant_dimension():
