@@ -54,7 +54,8 @@ def parse_transposition(text: str):
 
 def _resolve_cap(degree_cap: str, d: int) -> int:
     # degree d-1 loses nothing: on d distinct points every polynomial
-    # agrees with its Lagrange interpolant of degree < d
+    # agrees with its Lagrange interpolant of degree < d, and at this cap
+    # the checks evaluate the currents on the indicators L_f(p_g) = δ_fg
     return d - 1 if degree_cap == "auto" else int(degree_cap)
 
 

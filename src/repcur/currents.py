@@ -3,11 +3,11 @@
 An evaluation module attaches a point p_i to each tensor factor; x(P) acts
 on the i-th factor scaled by P(p_i).  Invariant tensors give elements
 θ(P_1,...,P_k) of the enveloping algebra whose matrices on an evaluation
-module are assembled here: ``current_images`` builds them for every tuple
-of polynomials in a product of slots in one pass that multiplies each
-shared word prefix once, and ``current_operator_matrix`` of
-``theta_operator`` is the monomial expansion kept as the independent
-reference.  Operator words compose with the rightmost factor applying
+module are assembled here: ``current_images`` builds them for a sequence
+of polynomial tuples in one pass that multiplies each shared word prefix
+once, reusing the prefix a tuple shares with the one before it, and
+``current_operator_matrix`` of ``theta_operator`` is the monomial
+expansion kept as the independent reference.  Operator words compose with the rightmost factor applying
 first (the standard left-module convention).
 """
 
@@ -219,30 +219,40 @@ def _prefix_levels(theta: InvariantTensor) -> list:
     return levels
 
 
-def current_images(theta: InvariantTensor, slot_polys, em: EvaluationModule):
-    """Yield θ(P_1,...,P_k) for every tuple of ``itertools.product(*slot_polys)``,
+def current_images(theta: InvariantTensor, tuples, em: EvaluationModule):
+    """Yield θ(P_1,...,P_k) for each tuple of polynomials in ``tuples``,
     in that order.
 
     θ is compiled once into its distinct prefix sums (``_prefix_levels``);
     a level-L value is Σ_b value_{L−1} · b(P_L), with the coefficients on
-    the level-1 sums.  Levels are evaluated in product order and only the
-    chain of values for the current tuple is held, so a prefix shared by
-    many terms or many tuples is multiplied once and nothing outlives the
-    call.  Raises ValueError when the number of slots is not the degree.
+    the level-1 sums.  Only the chain of level values for the current tuple
+    is held: a tuple keeps the levels of the longest prefix it shares with
+    the previous tuple and recomputes the rest, so a prefix shared by many
+    terms or by consecutive tuples (as in ``itertools.product`` order) is
+    multiplied once and nothing outlives the call.  Raises ValueError for a
+    tuple whose length is not the degree.
     """
-    if len(slot_polys) != theta.k:
-        raise ValueError(
-            f"arity mismatch: tensor degree {theta.k}, got {len(slot_polys)} polynomials"
-        )
-    if theta.k == 0:
-        yield Mat.identity(em.dim).scale(sum(c for c, _ in theta.terms))
-        return
     levels = _prefix_levels(theta)
     dim = em.dim
-
-    def walk(level: int, below: list):
-        for poly in slot_polys[level]:
+    chain: list = []  # chain[L]: the level-(L+1) values for prev[: L + 1]
+    prev: tuple = ()
+    for polys in tuples:
+        polys = tuple(polys)
+        if len(polys) != theta.k:
+            raise ValueError(
+                f"arity mismatch: tensor degree {theta.k}, got {len(polys)} polynomials"
+            )
+        if not polys:
+            yield Mat.identity(dim).scale(sum(c for c, _ in theta.terms))
+            continue
+        shared = 0
+        while shared < len(prev) and polys[shared] == prev[shared]:
+            shared += 1
+        del chain[shared:]
+        for level in range(shared, theta.k):
+            poly = polys[level]
             if level:
+                below = chain[-1]
                 values = [
                     lincomb(
                         ((1, below[child] * em.basis_action(b, poly)) for b, child in node),
@@ -256,12 +266,9 @@ def current_images(theta: InvariantTensor, slot_polys, em: EvaluationModule):
                     lincomb(((c, em.basis_action(b, poly)) for b, c in node), dim, dim)
                     for node in levels[0]
                 ]
-            if level + 1 == theta.k:
-                yield values[0]
-            else:
-                yield from walk(level + 1, values)
-
-    yield from walk(0, [])
+            chain.append(values)
+        prev = polys
+        yield chain[-1][0]
 
 
 def invariant_operator_matrix(
@@ -273,4 +280,4 @@ def invariant_operator_matrix(
     linearity of the evaluation action in each polynomial, without the
     monomial expansion.
     """
-    return next(current_images(theta, [[p] for p in polys], em))
+    return next(current_images(theta, [polys], em))

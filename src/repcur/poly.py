@@ -90,9 +90,14 @@ class Poly:
 def lagrange_interpolant(points, values) -> Poly:
     """The unique polynomial of degree < len(points) through the data.
 
-    Points must be pairwise distinct rationals.
+    Points must be pairwise distinct rationals, one value per point.
     """
     pts = [exact(p) for p in points]
+    values = list(values)
+    if len(values) != len(pts):
+        raise ValueError(
+            f"need one value per point (points: {len(pts)}, values: {len(values)})"
+        )
     if len(set(pts)) != len(pts):
         raise ValueError("points must be pairwise distinct")
     out = Poly()

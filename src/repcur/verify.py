@@ -36,7 +36,7 @@ from .invariants import (
     theta_sigma_gl,
 )
 from .liealg import GL, SO, SP, LieAlgebraSpec, build_lie_algebra
-from .linalg import Mat, SpanTracker, algebra_closure, solve_columns
+from .linalg import Mat, SpanTracker, algebra_closure, rref, solve_columns
 from .modules import (
     build_irrep,
     casimir_eigenvalue,
@@ -45,7 +45,7 @@ from .modules import (
     isotypic_decompose,
     standard_module,
 )
-from .poly import Poly
+from .poly import Poly, lagrange_interpolant
 from .rational import Q
 
 
@@ -340,27 +340,51 @@ def _distinct_tensors(spec: LieAlgebraSpec, k: int):
     return out
 
 
+def _slot_basis(em: EvaluationModule, cap: int) -> list:
+    """Reduced basis of span{1, t, ..., t^cap} as functions on the points.
+
+    The action b(P) depends on P only through its values P(p_i), so any
+    polynomials with the same span of value vectors give the same span of
+    current images.  The nonzero rows of the rref of the monomial values at
+    the distinct points, in order of first appearance, are interpolated
+    back to polynomials.  With cap = d − 1 on distinct points these are the
+    Lagrange indicators L_f(p_g) = δ_fg, each acting as one promoted factor
+    action; at coincident points the basis is the constant 1.
+    """
+    distinct = list(dict.fromkeys(em.points))
+    reduced, rank, _ = rref(Mat([[p**m for p in distinct] for m in range(cap + 1)]))
+    return [
+        lagrange_interpolant(distinct, [reduced[i, g] for g in range(len(distinct))])
+        for i in range(rank)
+    ]
+
+
 def fft_current_images(em: EvaluationModule, degree_cap: int):
-    """Matrices of theta(t^{n_1}, ..., t^{n_k}) over the FFT generators:
-    tensor degrees k = 1..d (the number of factors) and all unsorted degree
-    tuples bounded by degree_cap, in ``itertools.product`` order."""
-    monomials = [Poly.monomial(m) for m in range(degree_cap + 1)]
+    """Matrices of theta(P_1, ..., P_k) over the FFT generators: tensor
+    degrees k = 1..d (the number of factors) and every tuple of slot-basis
+    polynomials (``_slot_basis``) for the cap, in ``itertools.product``
+    order.  θ is multilinear, so each tensor's images span the same space
+    as its images at the monomial tuples (t^{n_1}, ..., t^{n_k}) with every
+    n_i ≤ degree_cap."""
+    basis = _slot_basis(em, degree_cap)
     for k in range(1, em.d + 1):
         for th in _distinct_tensors(em.spec, k):
-            yield from current_images(th, [monomials] * k, em)
+            yield from current_images(th, itertools.product(basis, repeat=k), em)
 
 
 @_check("span_surjectivity")
 def check_span_surjectivity(em: EvaluationModule, degree_cap=None):
     """Images of the FFT currents span the full g-commutant of the module.
 
-    The direct enumeration stops at tensor degree d (number of factors);
-    when that span falls short, one round of pairwise products is added.
-    Products of current images are themselves current images, of the
-    decomposable invariant tensors of twice the degree, so the extended set
-    still consists of FFT-current images only.  Containment is checked too:
-    every retained image must commute with each basis action, and the
-    retained images span all images and their products.
+    The direct enumeration (``fft_current_images``, on the slot basis of
+    the cap) stops at tensor degree d (number of factors); when that span
+    falls short, one round of pairwise products is added.  Products of
+    current images are themselves current images, of the decomposable
+    invariant tensors of twice the degree, so the extended set still
+    consists of FFT-current images only.  Containment is checked too: every
+    retained image must commute with each basis action, and the retained
+    images span all images and their products.  The ``image {at}`` of a
+    containment failure indexes that enumeration.
     """
     cap = _default_cap(em, degree_cap)
     if not em.has_distinct_points():
@@ -431,9 +455,11 @@ def check_isotypic_irreducibility(em: EvaluationModule, degree_cap=None):
 def check_cycle_generation(em: EvaluationModule, degree_cap=None):
     """The cycle currents alone generate the commutant algebra (gl only).
 
-    Also records, informationally, the closure dimension when the degree
-    tuples are restricted to weakly increasing ones; that closure reuses
-    the images already built for the full one.
+    The full closure is generated by the cycle images on the slot basis of
+    the cap (``_slot_basis``), which span the same space as the images at
+    all monomial degree tuples.  Also records, informationally, the closure
+    dimension of the images at the weakly increasing monomial degree tuples
+    alone; only those tuples are evaluated for it.
     """
     if em.spec.family != GL:
         raise ValueError("cycle generation is a gl-family check")
@@ -442,15 +468,17 @@ def check_cycle_generation(em: EvaluationModule, degree_cap=None):
         raise ValueError("cycle generation requires pairwise distinct points")
     expected = commutant_dimension(em.carrier)
 
+    basis = _slot_basis(em, cap)
     monomials = [Poly.monomial(m) for m in range(cap + 1)]
-    images = []  # (degree tuple, image)
+    images = []
+    sorted_images = []  # at the weakly increasing monomial tuples
     for j in range(1, em.d + 1):
-        images += zip(
-            itertools.product(range(cap + 1), repeat=j),
-            current_images(theta_cycle_gl(j, em.spec.n), [monomials] * j, em),
+        theta = theta_cycle_gl(j, em.spec.n)
+        images += current_images(theta, itertools.product(basis, repeat=j), em)
+        sorted_images += current_images(
+            theta, itertools.combinations_with_replacement(monomials, j), em
         )
-    actual = len(algebra_closure([img for _, img in images], em.dim))
-    sorted_images = [img for degs, img in images if list(degs) == sorted(degs)]
+    actual = len(algebra_closure(images, em.dim))
     params = {
         **_describe(em, "n", "d", "points"),
         "degree_cap": cap,

@@ -131,21 +131,34 @@ def test_current_images_match_the_reference_expansion(family, n, k, d):
             current_operator_matrix(theta_operator(theta, list(polys)), em)
             for polys in itertools.product(*slots)
         ]
-        assert list(current_images(theta, slots, em)) == want
+        assert list(current_images(theta, itertools.product(*slots), em)) == want
+
+
+def test_current_images_follow_any_tuple_order():
+    """Repeated tuples, prefixes that break and prefixes that come back."""
+    tensors, em = _tensors_and_module(GL, 2, 3, 3)
+    a, b, c = Poly([1, 1]), Poly([0, Q(1, 2), 1]), Poly([-3])
+    tuples = [
+        (a, b, c), (a, b, c), (a, b, a), (a, c, a), (b, b, c),
+        (a, b, c), (c, c, c), (a, b, b), (Poly([1, 1]), b, b),
+    ]
+    for theta in tensors:
+        want = [current_operator_matrix(theta_operator(theta, list(t)), em) for t in tuples]
+        assert list(current_images(theta, iter(tuples), em)) == want
 
 
 def test_current_images_of_degree_zero_and_of_zero(em3):
     scalar = InvariantTensor.from_dict(0, {(): Q(3)})
-    assert list(current_images(scalar, [], em3)) == [Mat.identity(em3.dim).scale(3)]
+    assert list(current_images(scalar, [()], em3)) == [Mat.identity(em3.dim).scale(3)]
     zero = InvariantTensor(2, ())
-    images = list(current_images(zero, SLOT_POLYS[:2], em3))
+    images = list(current_images(zero, itertools.product(*SLOT_POLYS[:2]), em3))
     assert len(images) == 6
     assert all(img == Mat.zeros(em3.dim, em3.dim) for img in images)
 
 
 def test_current_images_arity_check(gl2, em3):
     with pytest.raises(ValueError):
-        list(current_images(casimir_tensor(gl2), SLOT_POLYS, em3))
+        list(current_images(casimir_tensor(gl2), itertools.product(*SLOT_POLYS), em3))
     with pytest.raises(ValueError):
         invariant_operator_matrix(casimir_tensor(gl2), [Poly.monomial(0)], em3)
 

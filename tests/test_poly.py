@@ -64,3 +64,9 @@ def test_lagrange_rejects_float_points():
 def test_lagrange_rejects_repeated_points():
     with pytest.raises(ValueError):
         lagrange_interpolant([Q(0), Q(0)], [Q(1), Q(2)])
+
+
+@pytest.mark.parametrize("points,values", [([0, 1, 2], [1, 2]), ([0, 1], [1, 2, 3])])
+def test_lagrange_rejects_a_value_count_other_than_the_point_count(points, values):
+    with pytest.raises(ValueError):
+        lagrange_interpolant([Q(p) for p in points], [Q(v) for v in values])

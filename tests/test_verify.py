@@ -1,12 +1,25 @@
 """The verification layer: positive checks and negative controls."""
 
+import itertools
+
 import pytest
 
 from repcur import verify
-from repcur.currents import EvaluationModule, InvariantTensor
-from repcur.invariants import Permutation, casimir_tensor, fft_tensors, theta_sigma_gl
+from repcur.currents import (
+    EvaluationModule,
+    InvariantTensor,
+    current_operator_matrix,
+    theta_operator,
+)
+from repcur.invariants import (
+    Permutation,
+    casimir_tensor,
+    fft_tensors,
+    theta_cycle_gl,
+    theta_sigma_gl,
+)
 from repcur.liealg import GL, SO, SP, build_lie_algebra
-from repcur.linalg import Mat
+from repcur.linalg import Mat, rank
 from repcur.modules import build_irrep, standard_module
 from repcur.poly import Poly
 from repcur.rational import Q
@@ -248,6 +261,93 @@ def test_sp_isotypic_irreducibility_at_three_points():
     r = check_isotypic_irreducibility(EvaluationModule([v] * 3, [Q(0), Q(1), Q(2)]))
     assert r.passed
     assert r.actual == "mu=(3,): 1; mu=(1,): 4"
+
+
+@pytest.mark.parametrize(
+    "cap,status,actual,direct,extended",
+    [(0, "fail", "2", 2, False), (1, "pass", "5", 4, True), (3, "pass", "5", 5, False)],
+)
+def test_span_surjectivity_at_other_caps(em3, cap, status, actual, direct, extended):
+    r = check_span_surjectivity(em3, cap)
+    assert (r.status, r.expected, r.actual) == (status, "5", actual)
+    assert r.parameters["direct_span"] == direct
+    assert r.parameters["product_extended"] is extended
+
+
+@pytest.mark.parametrize(
+    "cap,status,multiplicity_algebra", [(0, "fail", 1), (1, "pass", 4), (3, "pass", 4)]
+)
+def test_isotypic_irreducibility_at_other_caps(em3, cap, status, multiplicity_algebra):
+    r = check_isotypic_irreducibility(em3, cap)
+    assert r.status == status
+    assert r.actual == f"mu=(3, 0): 1; mu=(2, 1): {multiplicity_algebra}"
+
+
+def test_sp_isotypic_irreducibility_at_cap_one():
+    v = standard_module(build_lie_algebra(SP, 1))
+    r = check_isotypic_irreducibility(EvaluationModule([v] * 3, [Q(0), Q(1), Q(2)]), 1)
+    assert r.passed
+    assert r.actual == "mu=(3,): 1; mu=(1,): 4"
+
+
+def test_isotypic_irreducibility_fails_at_partially_coincident_points(gl2):
+    v = standard_module(gl2)
+    r = check_isotypic_irreducibility(EvaluationModule([v] * 3, [Q(1), Q(1), Q(2)]))
+    assert r.status == "fail"
+    assert r.actual == "mu=(3, 0): 1; mu=(2, 1): 2"
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3])
+def test_cycle_generation_at_other_caps(em3, cap):
+    r = check_cycle_generation(em3, cap)
+    assert r.passed
+    assert r.actual == "5"
+    assert r.parameters["sorted_tuple_closure_dim"] == 5
+
+
+def test_slot_basis_is_the_point_indicators(em3):
+    basis = verify._slot_basis(em3, em3.d - 1)
+    assert [[p(x) for x in em3.points] for p in basis] == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+@pytest.mark.parametrize(
+    "points", [[Q(-1), Q(1, 2), Q(3)], [Q(1), Q(1), Q(2)], [Q(5, 2)] * 3]
+)
+@pytest.mark.parametrize("cap", [0, 1, 2, 3])
+def test_slot_basis_spans_the_monomials_on_the_points(gl2, points, cap):
+    em = EvaluationModule([standard_module(gl2)] * 3, points)
+    basis = verify._slot_basis(em, cap)
+    monomials = [Poly.monomial(m) for m in range(cap + 1)]
+    on_points = [[p(x) for x in points] for p in basis]
+    monomials_on_points = [[p(x) for x in points] for p in monomials]
+    assert len(basis) == rank(Mat(on_points)) == rank(Mat(monomials_on_points))
+    assert rank(Mat(on_points + monomials_on_points)) == len(basis)
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_sorted_cycle_closure_is_fed_the_sorted_monomial_images(gl2, d, monkeypatch):
+    """The sorted and full closure dimensions agree on every grid tried, so
+    only the images themselves show which tuples the sorted closure saw."""
+    em = EvaluationModule([standard_module(gl2)] * d, [Q(i) for i in range(d)])
+    fed = []
+    closure = verify.algebra_closure
+
+    def recording_closure(gens, size):
+        fed.append(list(gens))
+        return closure(fed[-1], size)
+
+    monkeypatch.setattr(verify, "algebra_closure", recording_closure)
+    assert check_cycle_generation(em).passed
+    sorted_images = [
+        current_operator_matrix(
+            theta_operator(theta_cycle_gl(j, 2), [Poly.monomial(m) for m in degs]), em
+        )
+        for j in range(1, d + 1)
+        for degs in itertools.product(range(d), repeat=j)
+        if list(degs) == sorted(degs)
+    ]
+    assert len(fed) == 2
+    assert sorted_images in fed
 
 
 def test_cycle_generation_is_gl_only():
