@@ -239,18 +239,17 @@ def span_cmd(family, n, points, degree_cap, output, expect_fail):
 @click.option("--points", default="0,1,2", show_default=True)
 @click.option("--weights", default=None, help="Defaults to the standard module per point.")
 @click.option("--degree-cap", default="auto", show_default=True)
-@click.option("--isotypic/--no-isotypic", default=True, show_default=True,
-              help="Run the per-component Burnside check.")
 @_with_common
-def irreducibility_cmd(family, n, points, weights, degree_cap, isotypic,
-                       output, expect_fail):
-    """Evaluation-module irreducibility over the current algebra."""
+def irreducibility_cmd(family, n, points, weights, degree_cap, output, expect_fail):
+    """Evaluation-module irreducibility over the current algebra, and the
+    per-component Burnside check."""
     n = _rank(family, n)
     em = _build_module(family, n, parse_points(points), weights)
     cap = _resolve_cap(degree_cap, em.d)
-    reports = [verify.check_evaluation_irreducibility(em, degree_cap=cap)]
-    if isotypic:
-        reports.append(verify.check_isotypic_irreducibility(em, degree_cap=cap))
+    reports = [
+        verify.check_evaluation_irreducibility(em, degree_cap=cap),
+        verify.check_isotypic_irreducibility(em, degree_cap=cap),
+    ]
     _emit(reports, {"command": "irreducibility", "family": family, "n": n,
                     "points": points, "weights": weights,
                     "degree_cap": cap}, output, expect_fail)

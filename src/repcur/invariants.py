@@ -16,7 +16,7 @@ import itertools
 from .liealg import GL, LieAlgebraSpec, form_matrix
 from .linalg import Mat
 from .currents import InvariantTensor
-from .poly import Poly
+from .poly import Poly, lagrange_interpolant
 from .rational import Q, exact
 
 
@@ -200,6 +200,8 @@ def theta_sigma_form(sigma: Permutation, spec: LieAlgebraSpec, factors=None):
 
 def fft_tensors(spec: LieAlgebraSpec, k: int):
     """All FFT spanning tensors of degree k for the given family."""
+    if k < 1:
+        raise ValueError(f"tensor degree must be >= 1, got {k}")
     if spec.family == GL:
         return [theta_sigma_gl(s, spec.n) for s in all_permutations(k)]
     factors = paired_factor_table(spec)
@@ -209,9 +211,10 @@ def fft_tensors(spec: LieAlgebraSpec, k: int):
 def schur_weyl_polys(tau, points, k: int):
     """The Lagrange-style pair (P_τ, Q_τ) attached to a transposition.
 
-    P_τ = (t - p_r + 1) Π_{d≠r} (t - p_d)/(p_r - p_d), and Q_τ the same
-    with s in place of r.  Each has degree k and P_τ(p_d) = δ_{dr},
-    Q_τ(p_d) = δ_{ds}.
+    P_τ = (t - p_r + 1) L_r with L_r = Π_{d≠r} (t - p_d)/(p_r - p_d) the
+    Lagrange indicator of p_r (``lagrange_interpolant``, which rejects
+    repeated points), and Q_τ the same with s in place of r.  Each has
+    degree k and P_τ(p_d) = δ_{dr}, Q_τ(p_d) = δ_{ds}.
     """
     if len(tau) != 2 or not (1 <= tau[0] < tau[1] <= k):
         raise ValueError(
@@ -221,15 +224,9 @@ def schur_weyl_polys(tau, points, k: int):
     pts = [exact(p) for p in points]
     if len(pts) != k:
         raise ValueError(f"need {k} points, got {len(pts)}")
-    if len(set(pts)) != len(pts):
-        raise ValueError("points must be pairwise distinct")
 
     def build(target: int) -> Poly:
-        p_t = pts[target - 1]
-        out = Poly([1 - p_t, 1])  # (t - p_target + 1)
-        for d, p_d in enumerate(pts, start=1):
-            if d != target:
-                out = out * Poly([-p_d, 1]).scale(Q(1) / (p_t - p_d))
-        return out
+        delta = [int(d == target) for d in range(1, k + 1)]
+        return Poly([1 - pts[target - 1], 1]) * lagrange_interpolant(pts, delta)
 
     return build(r), build(s)

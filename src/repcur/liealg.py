@@ -4,14 +4,14 @@ Each family is realized by explicit basis matrices, with the bracket table,
 the trace form ⟨x, y⟩ = tr(xy), trace-form dual bases, and the index sets of
 Cartan, raising and lowering basis elements of a rational split Cartan.
 
-Realizations (bar i = N+1-i for N x N matrices):
-  gl(n):  all n x n matrices, basis {E_ij}.
-  sp(2n): X with X^T Jhat + Jhat X = 0 for the antidiagonal-block form
-          Jhat = [[0, J], [-J, 0]], J the n x n antidiagonal of ones.
-          Diagonal elements look like diag(a_1..a_n, -a_n..-a_1).
-  so(n):  X with X^T J + J X = 0 for J the n x n antidiagonal of ones,
-          basis {E_ij - E_{bar j, bar i} : i + j <= n}.  Diagonal elements
-          look like diag(a_1..a_m, (0), -a_m..-a_1) with m = n // 2.
+Realizations: gl(n) is all n x n matrices, basis {E_ij}.  sp(2n) and so(n)
+are the X with X^T F + F X = 0 for the antidiagonal form F = form_matrix
+(Jhat = [[0, J], [-J, 0]] for sp, J for so, J the antidiagonal of ones),
+that is the fixed points of the involution θ(X) = -F^{-1} X^T F.  Their
+basis is one rule: E_ij + θ(E_ij) for i + j <= N + 1 (N x N matrices),
+skipped when zero and scaled to 1 at (i, j).  Diagonal elements, such as
+diag(a_1..a_m, (0), -a_m..-a_1), are the Cartan; upper triangular ones
+raise and lower triangular ones lower.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ class LieAlgebraSpec:
     matrix_size: int
     basis: tuple
     bracket: dict = field(compare=False)
-    gram_inverse: Mat = field(compare=False)
     dual_basis: tuple = field(compare=False)
     cartan_indices: tuple
     raising_indices: tuple
@@ -57,92 +56,18 @@ class LieAlgebraSpec:
     def coords(self, x: Mat) -> list:
         """Coordinates of x in the basis; errors if x is outside the algebra.
 
-        Uses the trace form: c = G^{-1} (tr(b_j x))_j, then verifies the
-        reconstruction so membership failures are caught exactly.
+        Each basis element is 1 at its first nonzero entry, where every
+        other basis element vanishes, so the coordinates are the entries of
+        x there; the reconstruction check catches membership failures
+        exactly.
         """
-        pairing = [(b * x).trace() for b in self.basis]
-        coords = self.gram_inverse.apply(pairing)
+        coords = [x[min(b.items())[0]] for b in self.basis]
         if self.element(coords) != x:
             raise ValueError(f"matrix not in {self.family}({self.n})")
         return coords
 
     def element(self, coords) -> Mat:
         return lincomb(zip(coords, self.basis), self.matrix_size, self.matrix_size)
-
-
-def _unit(size: int, i: int, j: int) -> Mat:
-    """E_ij with 1-based indices."""
-    return Mat.from_entries(size, size, {(i - 1, j - 1): ONE})
-
-
-def _gl_basis(n: int):
-    basis, cartan, raising, lowering = [], [], [], []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            idx = len(basis)
-            basis.append(_unit(n, i, j))
-            if i == j:
-                cartan.append(idx)
-            elif i < j:
-                raising.append(idx)
-            else:
-                lowering.append(idx)
-    return basis, cartan, raising, lowering
-
-
-def _sp_basis(n: int):
-    """Basis of sp(2n) in the antidiagonal realization.
-
-    Block description for X = [[A, B], [C, D]]: D = -J A^T J, with J B and
-    J C symmetric.  A-part elements E_ij - E_{jbar, ibar} (bar i = 2n+1-i),
-    B-part (raising) E_{ibar', n+j}-style pairs, C-part their transposype.
-    """
-    N = 2 * n
-    bar = lambda i: N + 1 - i
-    basis, cartan, raising, lowering = [], [], [], []
-    # Cartan: diag(a_i) - diag at mirrored position.
-    for i in range(1, n + 1):
-        cartan.append(len(basis))
-        basis.append(_unit(N, i, i) - _unit(N, bar(i), bar(i)))
-    # A-part off-diagonal: E_ij - E_{bar j, bar i}.
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i == j:
-                continue
-            idx = len(basis)
-            basis.append(_unit(N, i, j) - _unit(N, bar(j), bar(i)))
-            (raising if i < j else lowering).append(idx)
-    # B-part (upper-right block, positive roots e_i + e_j).
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            raising.append(len(basis))
-            m = _unit(N, n + 1 - i, n + j)
-            if i != j:
-                m = m + _unit(N, n + 1 - j, n + i)
-            basis.append(m)
-    # C-part (lower-left block, negative roots).
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            lowering.append(len(basis))
-            m = _unit(N, bar(i), j)
-            if i != j:
-                m = m + _unit(N, bar(j), i)
-            basis.append(m)
-    return basis, cartan, raising, lowering
-
-
-def _so_basis(n: int):
-    """Basis of so(n) in the antidiagonal realization: E_ij - E_{bar j, bar i}
-    for i + j <= n (i + j = n + 1 gives zero, and i + j > n + 1 the negative
-    of an element with i + j <= n)."""
-    bar = lambda i: n + 1 - i
-    basis, cartan, raising, lowering = [], [], [], []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1 - i):
-            idx = len(basis)
-            basis.append(_unit(n, i, j) - _unit(n, bar(j), bar(i)))
-            (cartan if i == j else raising if i < j else lowering).append(idx)
-    return basis, cartan, raising, lowering
 
 
 def form_matrix(family: str, n: int) -> Mat:
@@ -158,32 +83,49 @@ def form_matrix(family: str, n: int) -> Mat:
     raise ValueError(f"{family} preserves no bilinear form")
 
 
+def _family_basis(size: int, form: Mat | None):
+    """Basis, Cartan, raising and lowering indices of the size x size
+    algebra preserving the form F: E_ij + θ(E_ij) with θ(X) = -F^{-1} X^T F
+    for i + j <= size + 1 (1-based), skipped when zero and scaled to 1 at
+    (i, j); every E_ij when the form is None (gl)."""
+    form_inv = None if form is None else inverse(form)
+    basis, cartan, raising, lowering = [], [], [], []
+    for i in range(size):
+        for j in range(size if form is None else size - i):
+            x = Mat.from_entries(size, size, {(i, j): ONE})
+            if form is not None:
+                x = x - form_inv * x.transpose() * form
+                if x.is_zero():
+                    continue
+                x = x.scale(ONE / x[i, j])
+            (cartan if i == j else raising if i < j else lowering).append(len(basis))
+            basis.append(x)
+    return basis, cartan, raising, lowering
+
+
 def build_lie_algebra(family: str, n: int) -> LieAlgebraSpec:
     """Construct a family member with all structure tables filled in."""
     if family == GL:
         if n < 1:
             raise ValueError("gl(n) requires n >= 1")
         size = n
-        basis, cartan, raising, lowering = _gl_basis(n)
     elif family == SP:
         if n < 1:
             raise ValueError("sp(2n) requires n >= 1")
         size = 2 * n
-        basis, cartan, raising, lowering = _sp_basis(n)
     elif family == SO:
         if n < 3:
             raise ValueError(
                 "so(n) requires n >= 3: so(2) is abelian and its standard module is reducible"
             )
         size = n
-        basis, cartan, raising, lowering = _so_basis(n)
     else:
         raise ValueError(f"unknown family {family!r}")
+    form = None if family == GL else form_matrix(family, n)
+    basis, cartan, raising, lowering = _family_basis(size, form)
 
-    dim = len(basis)
-    gram = Mat([[(a * b).trace() for b in basis] for a in basis])
-    gram_inv = inverse(gram)
-    dual = [lincomb(zip(gram_inv.column(i), basis), size, size) for i in range(dim)]
+    gram_inv = inverse(Mat([[(a * b).trace() for b in basis] for a in basis]))
+    dual = [lincomb(zip(gram_inv.column(i), basis), size, size) for i in range(len(basis))]
 
     spec = LieAlgebraSpec(
         family=family,
@@ -191,14 +133,13 @@ def build_lie_algebra(family: str, n: int) -> LieAlgebraSpec:
         matrix_size=size,
         basis=tuple(basis),
         bracket={},
-        gram_inverse=gram_inv,
         dual_basis=tuple(dual),
         cartan_indices=tuple(cartan),
         raising_indices=tuple(raising),
         lowering_indices=tuple(lowering),
     )
-    for i in range(dim):
-        for j in range(dim):
-            c = spec.coords(basis[i].commutator(basis[j]))
+    for i, x in enumerate(basis):
+        for j, y in enumerate(basis):
+            c = spec.coords(x.commutator(y))
             spec.bracket[(i, j)] = {k: v for k, v in enumerate(c) if v}
     return spec

@@ -488,13 +488,13 @@ def check_cycle_generation(em: EvaluationModule, degree_cap=None):
 
 
 def evaluation_commutant_dimension(em: EvaluationModule, degree_cap=None) -> int:
-    """dim of the commutant of the full g[t]-action (degrees up to the cap)."""
-    cap = _default_cap(em, degree_cap)
-    actions = [
-        em.basis_action(b, Poly.monomial(m))
-        for b in range(em.spec.dim)
-        for m in range(cap + 1)
-    ]
+    """dim of the commutant of the full g[t]-action (degrees up to the cap).
+
+    The actions are taken on the slot basis of the cap (``_slot_basis``),
+    whose value vectors span those of the monomials, so the commutant is
+    the same."""
+    basis = _slot_basis(em, _default_cap(em, degree_cap))
+    actions = [em.basis_action(b, poly) for b in range(em.spec.dim) for poly in basis]
     return len(commutant_basis(actions, em.carrier))
 
 

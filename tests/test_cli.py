@@ -84,6 +84,17 @@ def test_irreducibility_with_expect_fail(runner):
     assert invoke(runner, args + ["--expect-fail"]).exit_code == 0
 
 
+def test_irreducibility_command_emits_both_checks(runner):
+    res = invoke(runner, ["verify", "irreducibility", "-o", "-"])
+    assert res.exit_code == 0
+    checks = json.loads(res.output)["checks"]
+    assert [c["check_name"] for c in checks] == [
+        "evaluation_irreducibility",
+        "isotypic_irreducibility",
+    ]
+    assert invoke(runner, ["verify", "irreducibility", "--no-isotypic"]).exit_code == 2
+
+
 @pytest.mark.parametrize(
     "command", ["casimir", "span", "commutant", "irreducibility", "ad-invariance"]
 )
@@ -105,6 +116,8 @@ def test_usage_errors_exit_2(runner):
         ["verify", "casimir", "--polys", "0,1;"],  # empty coefficient
         ["verify", "span", "-n", "0"],  # no gl(0)
         ["verify", "span", "--family", "so", "-n", "2"],  # so(2) is abelian
+        ["verify", "ad-invariance", "-k", "0"],  # no degree-0 tensor
+        ["verify", "ad-invariance", "-k", "-1"],
     ]
     for args in cases:
         res = invoke(runner, args)

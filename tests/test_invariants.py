@@ -60,6 +60,14 @@ def test_theta_cycle_count():
         theta_cycle_gl(0, 2)
 
 
+@pytest.mark.parametrize("family,n", [(GL, 2), (SP, 1), (SO, 3)])
+@pytest.mark.parametrize("k", [0, -1])
+def test_fft_tensors_reject_degree_below_one(family, n, k):
+    # all_permutations(0) yields the empty permutation: no degree-0 tensor
+    with pytest.raises(ValueError, match="tensor degree must be >= 1"):
+        fft_tensors(build_lie_algebra(family, n), k)
+
+
 @pytest.mark.parametrize("n,k", [(2, 1), (2, 2), (2, 3), (3, 2)])
 def test_gl_tensors_are_ad_invariant(n, k):
     spec = build_lie_algebra(GL, n)

@@ -19,8 +19,12 @@ DIMS = {
     (GL, 3): 9,
     (SP, 1): 3,
     (SP, 2): 10,
+    (SP, 3): 21,
     (SO, 3): 3,
     (SO, 4): 6,
+    (SO, 5): 10,
+    (SO, 6): 15,
+    (SO, 7): 21,
 }
 
 
@@ -65,15 +69,15 @@ def test_dual_basis_pairing(family, n):
 
 
 def test_sp_elements_preserve_the_form():
-    n = 2
-    spec = build_lie_algebra(SP, n)
-    jhat = form_matrix(SP, n)
-    assert jhat.transpose() == jhat.scale(-1)
-    for x in spec.basis:
-        assert (x.transpose() * jhat + jhat * x).is_zero()
+    for n in (1, 2, 3):
+        spec = build_lie_algebra(SP, n)
+        jhat = form_matrix(SP, n)
+        assert jhat.transpose() == jhat.scale(-1)
+        for x in spec.basis:
+            assert (x.transpose() * jhat + jhat * x).is_zero()
 
 
-@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
 def test_so_elements_preserve_the_form(n):
     spec = build_lie_algebra(SO, n)
     j = form_matrix(SO, n)
@@ -92,6 +96,15 @@ def test_coords_round_trip_and_membership():
         spec.coords(not_sp)
 
 
+@pytest.mark.parametrize("family,n", sorted(DIMS))
+def test_coords_of_the_basis_are_unit_vectors(family, n):
+    """Each basis element is read off at its own first nonzero entry, where
+    it is 1 and every other basis element vanishes."""
+    spec = build_lie_algebra(family, n)
+    for i, b in enumerate(spec.basis):
+        assert spec.coords(b) == [int(j == i) for j in range(spec.dim)]
+
+
 def test_sign_function():
     assert sign_function(2, 1) == 1
     assert sign_function(2, 2) == 1
@@ -103,7 +116,18 @@ def test_sign_function():
 
 @pytest.mark.parametrize(
     "family,n,rank",
-    [(GL, 2, 2), (GL, 3, 3), (SP, 1, 1), (SP, 2, 2), (SO, 3, 1), (SO, 4, 2), (SO, 5, 2)],
+    [
+        (GL, 2, 2),
+        (GL, 3, 3),
+        (SP, 1, 1),
+        (SP, 2, 2),
+        (SP, 3, 3),
+        (SO, 3, 1),
+        (SO, 4, 2),
+        (SO, 5, 2),
+        (SO, 6, 3),
+        (SO, 7, 3),
+    ],
 )
 def test_every_family_has_a_split_cartan(family, n, rank):
     """Diagonal Cartan elements; raising basis elements strictly upper and
