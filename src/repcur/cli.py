@@ -59,11 +59,13 @@ def _resolve_cap(degree_cap: str, d: int) -> int:
     return d - 1 if degree_cap == "auto" else int(degree_cap)
 
 
-def _build_module(family: str, n: int, points, weights=None) -> EvaluationModule:
+def _build_module(family: str, n: int, points, weights=None, d=None) -> EvaluationModule:
     """The evaluation module at the points; its factors are the irreps of the
-    ';'-separated weights, or the standard module at every point."""
+    ';'-separated weights, or else d standard modules (one per point by
+    default)."""
     std = standard_module(build_lie_algebra(family, n))
-    lams = [std.highest_weight] * len(points) if weights is None else parse_weights(weights)
+    count = len(points) if d is None else d
+    lams = [std.highest_weight] * count if weights is None else parse_weights(weights)
     factors = [
         std if lam == std.highest_weight else build_irrep(std.spec, lam, sum(map(abs, lam)))
         for lam in lams
@@ -205,16 +207,16 @@ def casimir_cmd(family, n, weights, points, polys, output, expect_fail):
 @_with_common
 def schur_weyl_cmd(n, k, points, tau, output, expect_fail):
     """Transposition preimages act as place permutations (gl only)."""
-    pts = parse_points(points) if points else list(range(k))
+    em = _build_module(GL, n, parse_points(points) if points else list(range(k)), d=k)
     if tau is not None:
-        reports = [verify.check_schur_weyl(parse_transposition(tau), n, k, pts)]
+        reports = [verify.check_schur_weyl(parse_transposition(tau), em)]
     else:
         reports = [
-            verify.check_schur_weyl((r, s), n, k, pts)
+            verify.check_schur_weyl((r, s), em)
             for r in range(1, k + 1)
             for s in range(r + 1, k + 1)
         ]
-        reports.append(verify.check_schur_weyl_composition(n, k, pts))
+        reports.append(verify.check_schur_weyl_composition(em))
     _emit(reports, {"command": "schur-weyl", "n": n, "k": k,
                     "points": points, "tau": tau}, output, expect_fail)
 

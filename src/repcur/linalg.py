@@ -278,10 +278,9 @@ def kernel_basis(m: Mat) -> list:
     return basis
 
 
-def stack_rows(mats) -> Mat:
-    """Vertically concatenate matrices with equal column counts."""
-    mats = list(mats)
-    cols = mats[0].cols
+def stack_rows(mats, cols: int) -> Mat:
+    """Vertically concatenate matrices of ``cols`` columns; no matrices
+    give the 0 x cols matrix, whose kernel is everything."""
     data = []
     for m in mats:
         if m.cols != cols:

@@ -266,9 +266,8 @@ def build_irrep(spec: LieAlgebraSpec, lam: Weight, m: int) -> GModule:
     wspace = dict(weight_decomposition(ambient)).get(lam)
     if wspace is None:
         raise ValueError(f"weight {lam} does not occur in V^(x{m})")
-    raised = stack_rows(
-        [ambient.actions[r] * wspace for r in spec.raising_indices]
-    )
+    # with no raising action (gl(1)) every weight vector is highest
+    raised = stack_rows((ambient.actions[r] * wspace for r in spec.raising_indices), wspace.cols)
     ker = kernel_basis(raised)
     if not ker:
         raise ValueError(f"no highest weight vector of weight {lam} in V^(x{m})")
@@ -287,11 +286,8 @@ def isotypic_decompose(module: GModule):
     spec = module.spec
     if module.dim == 0:
         return []
-    raising = [module.actions[r] for r in spec.raising_indices]
-    if raising:
-        ker = kernel_basis(stack_rows(raising))
-    else:
-        ker = Mat.identity(module.dim).columns()
+    # with no raising action (gl(1)) every weight vector is highest
+    ker = kernel_basis(stack_rows((module.actions[r] for r in spec.raising_indices), module.dim))
     hwv_all = Mat.from_columns(ker, module.dim)
 
     components = []

@@ -251,9 +251,13 @@ def place_permutation_matrix(perm: Permutation, n: int, k: int) -> Mat:
     return Mat.from_entries(dim, dim, entries)
 
 
-def _standard_power(n: int, k: int, points) -> EvaluationModule:
-    """The k-th tensor power of the standard gl(n) module at the points."""
-    return EvaluationModule([standard_module(build_lie_algebra(GL, n))] * k, points)
+def _standard_power_shape(em: EvaluationModule):
+    """(n, k) of a k-th tensor power of the standard gl(n) module; any
+    other module raises ValueError."""
+    spec = em.spec
+    if spec.family != GL or any(f.actions != list(spec.basis) for f in em.factors):
+        raise ValueError("the Schur-Weyl checks need a tensor power of the standard gl(n) module")
+    return spec.n, em.d
 
 
 def transposition_preimage_matrix(tau, em: EvaluationModule) -> Mat:
@@ -265,8 +269,10 @@ def transposition_preimage_matrix(tau, em: EvaluationModule) -> Mat:
 
 
 @_check("schur_weyl")
-def check_schur_weyl(tau, n: int, k: int, points):
-    em = _standard_power(n, k, points)
+def check_schur_weyl(tau, em: EvaluationModule):
+    """The preimage of the transposition tau acts on the k-th power of the
+    standard gl(n) module ``em`` as its place permutation."""
+    n, k = _standard_power_shape(em)
     got = transposition_preimage_matrix(tau, em)
     want = place_permutation_matrix(Permutation.transposition(k, *tau), n, k)
     return (
@@ -278,9 +284,13 @@ def check_schur_weyl(tau, n: int, k: int, points):
 
 
 @_check("schur_weyl_composition")
-def check_schur_weyl_composition(n: int, k: int, points):
-    """Products of transposition preimages equal preimages of the products."""
-    em = _standard_power(n, k, points)
+def check_schur_weyl_composition(em: EvaluationModule):
+    """Products of transposition preimages equal preimages of the products,
+    on the k-th power of the standard gl(n) module ``em``; k < 2 has no
+    transposition and raises ValueError."""
+    n, k = _standard_power_shape(em)
+    if k < 2:
+        raise ValueError(f"composition needs at least two tensor factors, got k = {k}")
     taus = [(r, s) for r in range(1, k + 1) for s in range(r + 1, k + 1)]
     images = {tau: transposition_preimage_matrix(tau, em) for tau in taus}
     ok = True
@@ -372,45 +382,66 @@ def fft_current_images(em: EvaluationModule, degree_cap: int):
             yield from current_images(th, itertools.product(basis, repeat=k), em)
 
 
+def _commutant_span(em: EvaluationModule, images, expected: int):
+    """Walk ``images`` into a span seeded with the identity, stopping once
+    it reaches ``expected``, the commutant dimension.
+
+    Returns the tracker, the kept images (the identity, then each image
+    that enlarged the span) and a containment note: empty, or
+    ``"; image {at} does not commute with basis element {y}"`` for the
+    first kept image that leaves the commutant, ``at`` indexing ``images``.
+    Every kept image is checked, so the stop is sound: kept images inside
+    the commutant that span ``expected`` dimensions span all of it, and no
+    image after the stop can enlarge a span that is already the commutant.
+    (That those images commute as well is the commutant lemma for
+    ad-invariant tensors, which ``check_commutant`` and the ad-invariance
+    checks verify.)
+    """
+    tracker = SpanTracker(em.dim * em.dim)
+    kept = [Mat.identity(em.dim)]
+    tracker.add(kept[0])
+    kept_at = []
+    for i, img in enumerate(images):
+        if tracker.add(img):
+            kept.append(img)
+            kept_at.append(i)
+        if tracker.dim == expected:
+            break
+    for at, img in zip(kept_at, kept[1:]):
+        y = _noncommuting_basis_element(img, em)
+        if y is not None:
+            return tracker, kept, f"; image {at} does not commute with basis element {y}"
+    return tracker, kept, ""
+
+
 @_check("span_surjectivity")
 def check_span_surjectivity(em: EvaluationModule, degree_cap=None):
     """Images of the FFT currents span the full g-commutant of the module.
 
     The direct enumeration (``fft_current_images``, on the slot basis of
-    the cap) stops at tensor degree d (number of factors); when that span
-    falls short, one round of pairwise products is added.  Products of
-    current images are themselves current images, of the decomposable
-    invariant tensors of twice the degree, so the extended set still
-    consists of FFT-current images only.  Containment is checked too: every
-    retained image must commute with each basis action, and the retained
-    images span all images and their products.  The ``image {at}`` of a
-    containment failure indexes that enumeration.
+    the cap) stops at tensor degree d (number of factors), and earlier,
+    at the first image that brings the span to the commutant dimension
+    (``_commutant_span``); when the whole enumeration falls short, one
+    round of pairwise products of the kept images is added, which stops
+    at the same bound.  Products of current images are themselves current
+    images, of the decomposable invariant tensors of twice the degree, so
+    the extended set still consists of FFT-current images only.
+    Containment is checked too: every kept image must commute with each
+    basis action, and the kept images span every image built and their
+    products.  The ``image {at}`` of a containment failure indexes that
+    enumeration.
     """
     cap = _default_cap(em, degree_cap)
     if not em.has_distinct_points():
         raise ValueError("span check requires pairwise distinct points")
     expected = commutant_dimension(em.carrier)
-    tracker = SpanTracker(em.dim * em.dim)
-    images = [Mat.identity(em.dim)]
-    tracker.add(images[0])
-    kept_at = []  # enumeration index of each retained image after the identity
-    for i, img in enumerate(fft_current_images(em, cap)):
-        if tracker.add(img):
-            # products of a spanning subset reach every pairwise product,
-            # so only span-enlarging images need to be retained
-            images.append(img)
-            kept_at.append(i)
-    stray = ""
-    for at, img in zip(kept_at, images[1:]):
-        y = _noncommuting_basis_element(img, em)
-        if y is not None:
-            stray = f"; image {at} does not commute with basis element {y}"
-            break
+    tracker, kept, stray = _commutant_span(em, fft_current_images(em, cap), expected)
     direct = tracker.dim
     if direct < expected:
-        for a in list(images):
-            for b in list(images):
-                tracker.add(a * b)
+        # products of a spanning subset reach every pairwise product
+        for a, b in itertools.product(kept, repeat=2):
+            if tracker.add(a * b) and tracker.dim == expected:
+                break
     actual = tracker.dim
     params = {
         **_describe(em, "family", "n", "d", "points"),
@@ -425,8 +456,17 @@ def check_span_surjectivity(em: EvaluationModule, degree_cap=None):
 def check_isotypic_irreducibility(em: EvaluationModule, degree_cap=None):
     """Burnside criterion on every multiplicity space: the restricted
     current images must generate the full multiplicity x multiplicity
-    matrix algebra.  Each image is built once and compressed to the
-    highest-weight-vector block of every component."""
+    matrix algebra.
+
+    Each image is built once and compressed (``solve_columns``) to the
+    highest-weight-vector block of every component, which fails unless
+    the image preserves the block.  Per component only the restricted
+    images that enlarge their linear span are kept, and the walk stops once
+    every component's span is its whole matrix algebra, m² for
+    multiplicity m.  The closure depends only on the span of its
+    generators, so closing the kept images gives the dimension that
+    closing all of them would.
+    """
     cap = _default_cap(em, degree_cap)
     params = {
         **_describe(em, "family", "n", "points"),
@@ -434,14 +474,19 @@ def check_isotypic_irreducibility(em: EvaluationModule, degree_cap=None):
         **_describe(em, "distinct_points"),
     }
     comps = isotypic_decompose(em.carrier)
-    restricted = [[] for _ in comps]
+    spans = [SpanTracker(comp.multiplicity**2) for comp in comps]
+    kept = [[] for _ in comps]
     for img in fft_current_images(em, cap):
-        for gens, comp in zip(restricted, comps):
-            gens.append(solve_columns(comp.hwv_basis, img * comp.hwv_basis))
+        for comp, span, gens in zip(comps, spans, kept):
+            block = solve_columns(comp.hwv_basis, img * comp.hwv_basis)
+            if span.add(block):
+                gens.append(block)
+        if all(span.dim == span.length for span in spans):
+            break
     expected_bits = []
     actual_bits = []
     ok = True
-    for comp, gens in zip(comps, restricted):
+    for comp, gens in zip(comps, kept):
         closure_dim = len(algebra_closure(gens, comp.multiplicity))
         want = comp.multiplicity**2
         expected_bits.append(f"mu={comp.mu}: {want}")
@@ -457,9 +502,13 @@ def check_cycle_generation(em: EvaluationModule, degree_cap=None):
 
     The full closure is generated by the cycle images on the slot basis of
     the cap (``_slot_basis``), which span the same space as the images at
-    all monomial degree tuples.  Also records, informationally, the closure
-    dimension of the images at the weakly increasing monomial degree tuples
-    alone; only those tuples are evaluated for it.
+    all monomial degree tuples.  They are walked as in the span check
+    (``_commutant_span``): the walk stops once their linear span reaches
+    the commutant dimension, every kept image must commute with each basis
+    action, and the closure of the kept images is the closure of all of
+    them.  Also records, informationally, the closure dimension of the
+    images at the weakly increasing monomial degree tuples alone; only
+    those tuples are evaluated for it.
     """
     if em.spec.family != GL:
         raise ValueError("cycle generation is a gl-family check")
@@ -469,22 +518,26 @@ def check_cycle_generation(em: EvaluationModule, degree_cap=None):
     expected = commutant_dimension(em.carrier)
 
     basis = _slot_basis(em, cap)
+    thetas = [theta_cycle_gl(j, em.spec.n) for j in range(1, em.d + 1)]
+    images = itertools.chain.from_iterable(
+        current_images(th, itertools.product(basis, repeat=th.k), em) for th in thetas
+    )
+    _, kept, stray = _commutant_span(em, images, expected)
+    actual = len(algebra_closure(kept, em.dim))
     monomials = [Poly.monomial(m) for m in range(cap + 1)]
-    images = []
-    sorted_images = []  # at the weakly increasing monomial tuples
-    for j in range(1, em.d + 1):
-        theta = theta_cycle_gl(j, em.spec.n)
-        images += current_images(theta, itertools.product(basis, repeat=j), em)
-        sorted_images += current_images(
-            theta, itertools.combinations_with_replacement(monomials, j), em
+    sorted_images = [  # at the weakly increasing monomial tuples
+        img
+        for th in thetas
+        for img in current_images(
+            th, itertools.combinations_with_replacement(monomials, th.k), em
         )
-    actual = len(algebra_closure(images, em.dim))
+    ]
     params = {
         **_describe(em, "n", "d", "points"),
         "degree_cap": cap,
         "sorted_tuple_closure_dim": len(algebra_closure(sorted_images, em.dim)),
     }
-    return params, actual == expected, expected, actual
+    return params, actual == expected and not stray, expected, f"{actual}{stray}"
 
 
 def evaluation_commutant_dimension(em: EvaluationModule, degree_cap=None) -> int:
@@ -608,14 +661,14 @@ def run_acceptance_suite(seed: int = 0, profile: str = "desk"):
     # 4. Schur-Weyl transposition preimages, including composition.
     sw_grid = [(2, 2), (2, 3)] + ([(3, 2), (3, 3)] if full else [])
     for n, k in sw_grid:
-        pts = [Q(i) for i in range(k)]
+        em = standard_em(GL, n, k)
         for r in range(1, k + 1):
             for s in range(r + 1, k + 1):
-                add("schur_weyl", check_schur_weyl((r, s), n, k, pts))
-        add("schur_weyl", check_schur_weyl_composition(n, k, pts))
+                add("schur_weyl", check_schur_weyl((r, s), em))
+        add("schur_weyl", check_schur_weyl_composition(em))
     add(
         "schur_weyl",
-        check_schur_weyl((1, 2), 2, 3, [Q(0), Q(1, 2), Q(7, 3)]),
+        check_schur_weyl((1, 2), standard_em(GL, 2, 3, [Q(0), Q(1, 2), Q(7, 3)])),
     )
 
     # 5. the current images span the commutant of the g-action.

@@ -177,3 +177,30 @@ def test_quick_sweep(runner):
         "cycle_generation",
         "evaluation_irreducibility",
     } <= criteria
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "casimir", "-n", "1"],
+        ["verify", "irreducibility", "-n", "1", "--points", "0,1", "--weights", "2;1"],
+    ],
+    ids=["casimir", "irreducibility"],
+)
+def test_gl1_commands_pass(runner, args):
+    # gl(1) has no raising operator: every weight vector is highest
+    res = invoke(runner, args + ["-o", "-"])
+    assert res.exit_code == 0
+    assert all(c["status"] == "pass" for c in json.loads(res.output)["checks"])
+
+
+def test_schur_weyl_composition_needs_two_factors(runner):
+    res = invoke(runner, ["verify", "schur-weyl", "-k", "1"])
+    assert res.exit_code == 2
+    assert "at least two tensor factors" in res.output
+
+
+def test_schur_weyl_points_must_match_k(runner):
+    res = invoke(runner, ["verify", "schur-weyl", "-k", "3", "--points", "0,1"])
+    assert res.exit_code == 2
+    assert "factors: 3, points: 2" in res.output

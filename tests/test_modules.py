@@ -83,6 +83,16 @@ def test_sp2_irrep_dimensions(sp2):
     assert build_irrep(sp2, (0,), 2).dim == 1
 
 
+def test_gl1_has_only_highest_weight_vectors():
+    # no raising operator: every weight vector is highest, so V(λ) is the
+    # line of weight λ and V^(x3) is one component of multiplicity 1
+    gl1 = build_lie_algebra(GL, 1)
+    w = build_irrep(gl1, (2,), 2)
+    assert (w.dim, w.highest_weight) == (1, (2,))
+    (comp,) = isotypic_decompose(tensor_module([standard_module(gl1)] * 3))
+    assert (comp.mu, comp.multiplicity) == ((3,), 1)
+
+
 def test_build_irrep_rejects_bad_weight(gl2):
     with pytest.raises(ValueError):
         build_irrep(gl2, (0, 2), 2)  # not dominant

@@ -19,8 +19,13 @@ from repcur.invariants import (
     theta_sigma_gl,
 )
 from repcur.liealg import GL, SO, SP, build_lie_algebra
-from repcur.linalg import Mat, rank
-from repcur.modules import build_irrep, standard_module
+from repcur.linalg import Mat, SpanTracker, rank, solve_columns
+from repcur.modules import (
+    build_irrep,
+    commutant_dimension,
+    isotypic_decompose,
+    standard_module,
+)
 from repcur.poly import Poly
 from repcur.rational import Q
 from repcur.verify import (
@@ -161,30 +166,52 @@ def test_place_permutation_is_a_homomorphism():
     assert ma * mb == place_permutation_matrix(a * b, 2, 3)
 
 
+def _standard_power(n, k, points):
+    return EvaluationModule([standard_module(build_lie_algebra(GL, n))] * k, points)
+
+
 @pytest.mark.parametrize("n,k", [(2, 2), (2, 3), (3, 2)])
 def test_schur_weyl_preimages(n, k):
-    pts = [Q(i) for i in range(k)]
+    em = _standard_power(n, k, [Q(i) for i in range(k)])
     for r in range(1, k + 1):
         for s in range(r + 1, k + 1):
-            assert check_schur_weyl((r, s), n, k, pts).passed
+            assert check_schur_weyl((r, s), em).passed
 
 
 def test_schur_weyl_rational_points():
-    assert check_schur_weyl((1, 2), 2, 3, [Q(0), Q(1, 2), Q(7, 3)]).passed
+    assert check_schur_weyl((1, 2), _standard_power(2, 3, [Q(0), Q(1, 2), Q(7, 3)])).passed
 
 
 def test_schur_weyl_composition():
-    assert check_schur_weyl_composition(2, 3, [Q(0), Q(1), Q(2)]).passed
+    assert check_schur_weyl_composition(_standard_power(2, 3, [Q(0), Q(1), Q(2)])).passed
 
 
 def test_schur_weyl_rejects_float_points():
     with pytest.raises(TypeError):
-        check_schur_weyl((1, 2), 2, 2, [0.0, 0.5])
+        check_schur_weyl((1, 2), _standard_power(2, 2, [0.0, 0.5]))
 
 
 def test_schur_weyl_composition_rejects_float_points():
     with pytest.raises(TypeError):
-        check_schur_weyl_composition(2, 2, [0.0, 0.5])
+        check_schur_weyl_composition(_standard_power(2, 2, [0.0, 0.5]))
+
+
+def test_schur_weyl_composition_rejects_fewer_than_two_factors():
+    with pytest.raises(ValueError, match="at least two"):
+        check_schur_weyl_composition(_standard_power(2, 1, [Q(0)]))
+
+
+def test_schur_weyl_checks_need_a_power_of_the_standard_gl_module(gl2):
+    sp = standard_module(build_lie_algebra(SP, 1))
+    irrep = build_irrep(gl2, (2, 0), 2)
+    for em in (
+        EvaluationModule([sp, sp], [Q(0), Q(1)]),
+        EvaluationModule([irrep, standard_module(gl2)], [Q(0), Q(1)]),
+    ):
+        with pytest.raises(ValueError, match="standard gl"):
+            check_schur_weyl((1, 2), em)
+        with pytest.raises(ValueError, match="standard gl"):
+            check_schur_weyl_composition(em)
 
 
 @pytest.mark.parametrize(
@@ -374,3 +401,76 @@ def test_evaluation_reducible_at_coincident_points(gl2):
     r = check_evaluation_irreducibility(em)
     assert not r.passed
     assert evaluation_commutant_dimension(em) == 5
+
+
+def _counting_images(monkeypatch):
+    """Patch the image enumeration to count the images pulled from it."""
+    pulled = []
+    images = verify.fft_current_images
+
+    def counting(em, cap):
+        for i, img in enumerate(images(em, cap)):
+            pulled.append(i)
+            yield img
+
+    monkeypatch.setattr(verify, "fft_current_images", counting)
+    return pulled
+
+
+def _full_at(images, length, bound, restrict=lambda img: img):
+    """1 + the index of the image that brings a span to ``bound``, or None."""
+    tracker = SpanTracker(length)
+    for i, img in enumerate(images):
+        tracker.add(restrict(img))
+        if tracker.dim == bound:
+            return i + 1
+    return None
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_span_walk_stops_at_the_commutant_dimension(n, monkeypatch):
+    v = standard_module(build_lie_algebra(GL, n))
+    em = EvaluationModule([v] * 3, [Q(0), Q(1), Q(2)])
+    images = list(verify.fft_current_images(em, 2))
+    identity = Mat.identity(em.dim)
+    stop = _full_at([identity] + images, em.dim**2, commutant_dimension(em.carrier)) - 1
+    pulled = _counting_images(monkeypatch)
+    r = check_span_surjectivity(em)
+    assert r.passed and not r.parameters["product_extended"]
+    assert len(pulled) == stop < len(images)  # 108 (gl(2)) and 110 (gl(3)) of 183
+
+
+def test_burnside_walk_stops_once_every_block_is_full(em3, gl2, monkeypatch):
+    images = list(verify.fft_current_images(em3, 2))
+    (top, pair) = isotypic_decompose(em3.carrier)
+    assert (top.multiplicity, pair.multiplicity) == (1, 2)
+    hwv = pair.hwv_basis
+    stop = _full_at(images, 4, 4, lambda img: solve_columns(hwv, img * hwv))
+    pulled = _counting_images(monkeypatch)
+    r = check_isotypic_irreducibility(em3)
+    assert r.actual == "mu=(3, 0): 1; mu=(2, 1): 4"
+    assert len(pulled) == stop < len(images)  # 108 of 183
+    # the coincident-point control never fills mu=(2, 1): it walks every
+    # image and still fails
+    v = standard_module(gl2)
+    coincident = EvaluationModule([v] * 3, [Q(0)] * 3)
+    pulled.clear()
+    r = check_isotypic_irreducibility(coincident)
+    assert r.status == "fail"
+    assert len(pulled) == len(list(verify.fft_current_images(coincident, 2)))
+
+
+def test_cycle_check_rejects_image_outside_commutant(em3, monkeypatch):
+    # a non-commuting matrix put in front of every cycle tensor's images:
+    # only the containment scan of the kept images can catch it
+    bogus = Mat.from_entries(em3.dim, em3.dim, {(0, 1): Q(1)})
+    images = verify.current_images
+
+    def injecting(theta, tuples, em):
+        yield bogus
+        yield from images(theta, tuples, em)
+
+    monkeypatch.setattr(verify, "current_images", injecting)
+    r = check_cycle_generation(em3)
+    assert r.status == "fail"
+    assert "; image 0 does not commute with basis element " in r.actual
