@@ -59,13 +59,11 @@ def _resolve_cap(degree_cap: str, d: int) -> int:
     return d - 1 if degree_cap == "auto" else int(degree_cap)
 
 
-def _build_module(family: str, n: int, points, weights=None, d=None) -> EvaluationModule:
+def _build_module(family: str, n: int, points, weights=None) -> EvaluationModule:
     """The evaluation module at the points; its factors are the irreps of the
-    ';'-separated weights, or else d standard modules (one per point by
-    default)."""
+    ';'-separated weights, or the standard module at every point."""
     std = standard_module(build_lie_algebra(family, n))
-    count = len(points) if d is None else d
-    lams = [std.highest_weight] * count if weights is None else parse_weights(weights)
+    lams = [std.highest_weight] * len(points) if weights is None else parse_weights(weights)
     factors = [
         std if lam == std.highest_weight else build_irrep(std.spec, lam, sum(map(abs, lam)))
         for lam in lams
@@ -207,7 +205,8 @@ def casimir_cmd(family, n, weights, points, polys, output, expect_fail):
 @_with_common
 def schur_weyl_cmd(n, k, points, tau, output, expect_fail):
     """Transposition preimages act as place permutations (gl only)."""
-    em = _build_module(GL, n, parse_points(points) if points else list(range(k)), d=k)
+    pts = parse_points(points) if points else list(range(k))
+    em = EvaluationModule([standard_module(build_lie_algebra(GL, n))] * k, pts)
     if tau is not None:
         reports = [verify.check_schur_weyl(parse_transposition(tau), em)]
     else:

@@ -186,6 +186,8 @@ def test_schur_weyl_composition():
     assert check_schur_weyl_composition(_standard_power(2, 3, [Q(0), Q(1), Q(2)])).passed
 
 
+# The checks take the evaluation module, so float points are rejected when
+# it is built, before either check runs; these two cover that rejection.
 def test_schur_weyl_rejects_float_points():
     with pytest.raises(TypeError):
         check_schur_weyl((1, 2), _standard_power(2, 2, [0.0, 0.5]))
