@@ -360,9 +360,11 @@ def algebra_closure(gens, size: int) -> list:
 
     Seeds with the identity and the generators, then repeatedly multiplies
     basis elements pairwise and re-spans until the dimension stabilizes;
-    terminates because the dimension is bounded by size**2.  A basis longer
-    than that means the reducer kept dependent matrices, and raises
-    RuntimeError instead of looping on.
+    terminates because the dimension is bounded by size**2.  Returns as
+    soon as the span is all size**2 matrices, where no product can enlarge
+    it, so generators that already span them get no product round.  A
+    basis longer than size**2 means the reducer kept dependent matrices,
+    and raises RuntimeError instead of looping on.
     """
     gens = list(gens)
     for g in gens:
@@ -387,6 +389,8 @@ def algebra_closure(gens, size: int) -> list:
         snapshot = list(basis)
         for a in snapshot:
             for b in snapshot:
+                if tracker.dim == size * size:
+                    return basis
                 if absorb(a * b):
                     grew = True
         if not grew:

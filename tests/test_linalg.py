@@ -109,6 +109,27 @@ def test_algebra_closure_full_matrix_algebra():
     assert len(algebra_closure([e12, e21], 2)) == 4
 
 
+def test_algebra_closure_stops_once_every_matrix_is_spanned(monkeypatch):
+    products = []
+    mul = Mat.__mul__
+
+    def counting(a, b):
+        products.append((a, b))
+        return mul(a, b)
+
+    monkeypatch.setattr(Mat, "__mul__", counting)
+    e11 = mat([[1, 0], [0, 0]])
+    e12 = mat([[0, 1], [0, 0]])
+    e21 = mat([[0, 0], [1, 0]])
+    # generators that span all 2x2 matrices get no product round
+    assert len(algebra_closure([e12, e21, e11], 2)) == 4
+    assert products == []
+    # over I, E_12, E_21 the sixth product, E_12 E_21 = E_11, fills the span,
+    # where a full round of nine and a second round of sixteen ran before
+    assert len(algebra_closure([e12, e21], 2)) == 4
+    assert len(products) == 6
+
+
 def test_algebra_closure_commutative_case():
     d = mat([[1, 0], [0, 2]])
     assert len(algebra_closure([d], 2)) == 2  # I and d

@@ -353,30 +353,78 @@ def test_slot_basis_spans_the_monomials_on_the_points(gl2, points, cap):
     assert rank(Mat(on_points + monomials_on_points)) == len(basis)
 
 
-@pytest.mark.parametrize("d", [3, 4])
-def test_sorted_cycle_closure_is_fed_the_sorted_monomial_images(gl2, d, monkeypatch):
+def _recording_sorted_images(monkeypatch):
+    """Patch the image builder to record the images pulled from the sorted
+    (``combinations_with_replacement``) tuples only."""
+    pulled = []
+    images = verify.current_images
+
+    def recording(theta, tuples, em):
+        is_sorted = isinstance(tuples, itertools.combinations_with_replacement)
+        for img in images(theta, tuples, em):
+            if is_sorted:
+                pulled.append(img)
+            yield img
+
+    monkeypatch.setattr(verify, "current_images", recording)
+    return pulled
+
+
+@pytest.mark.parametrize(
+    "d,cap,stop,total", [(3, 2, 14, 19), (4, 3, 41, 69), (4, 1, 14, 14)]
+)
+def test_sorted_cycle_walk_pulls_a_prefix_of_the_sorted_monomial_images(
+    gl2, d, cap, stop, total, monkeypatch
+):
     """The sorted and full closure dimensions agree on every grid tried, so
-    only the images themselves show which tuples the sorted closure saw."""
+    only the images themselves show which tuples the sorted walk saw: a
+    prefix of the sorted monomial images, cut where their span reaches the
+    commutant (never, at cap 1, where the walk runs to the end)."""
     em = EvaluationModule([standard_module(gl2)] * d, [Q(i) for i in range(d)])
-    fed = []
-    closure = verify.algebra_closure
-
-    def recording_closure(gens, size):
-        fed.append(list(gens))
-        return closure(fed[-1], size)
-
-    monkeypatch.setattr(verify, "algebra_closure", recording_closure)
-    assert check_cycle_generation(em).passed
+    pulled = _recording_sorted_images(monkeypatch)
+    assert check_cycle_generation(em, cap).passed
     sorted_images = [
         current_operator_matrix(
             theta_operator(theta_cycle_gl(j, 2), [Poly.monomial(m) for m in degs]), em
         )
         for j in range(1, d + 1)
-        for degs in itertools.product(range(d), repeat=j)
+        for degs in itertools.product(range(cap + 1), repeat=j)
         if list(degs) == sorted(degs)
     ]
-    assert len(fed) == 2
-    assert sorted_images in fed
+    assert len(sorted_images) == total
+    assert pulled == sorted_images[:stop]
+
+
+@pytest.mark.parametrize(
+    "d,cap,status,actual,closed",
+    [(4, 1, "pass", 14, [10, 9]), (4, 0, "fail", 3, [3, 3]), (3, 0, "fail", 2, [2, 2])],
+)
+def test_cycle_closures_run_when_the_walks_fall_short(gl2, d, cap, status, actual, closed, monkeypatch):
+    """Below the commutant dimension both walks close their kept images
+    (the identity and each image that enlarged the span); at cap 1 and
+    d = 4 the sorted images span 9 dimensions and close to 14."""
+    em = EvaluationModule([standard_module(gl2)] * d, [Q(i) for i in range(d)])
+    fed = []
+    closure = verify.algebra_closure
+
+    def recording_closure(gens, size):
+        fed.append(len(gens))
+        return closure(gens, size)
+
+    monkeypatch.setattr(verify, "algebra_closure", recording_closure)
+    r = check_cycle_generation(em, cap)
+    assert (r.status, r.actual) == (status, str(actual))
+    assert r.parameters["sorted_tuple_closure_dim"] == actual
+    assert fed == closed
+
+
+def test_cycle_closures_are_skipped_once_the_walks_span_the_commutant(gl2, monkeypatch):
+    em = EvaluationModule([standard_module(gl2)] * 4, [Q(i) for i in range(4)])
+    fed = []
+    monkeypatch.setattr(verify, "algebra_closure", lambda gens, size: fed.append(gens))
+    r = check_cycle_generation(em)
+    assert r.passed and r.parameters["sorted_tuple_closure_dim"] == 14
+    assert fed == []
 
 
 def test_cycle_generation_is_gl_only():
@@ -476,3 +524,21 @@ def test_cycle_check_rejects_image_outside_commutant(em3, monkeypatch):
     r = check_cycle_generation(em3)
     assert r.status == "fail"
     assert "; image 0 does not commute with basis element " in r.actual
+
+
+def test_sorted_walk_stray_leaves_the_verdict_alone(em3, monkeypatch):
+    # a non-commuting matrix in front of every sorted image stream only: the
+    # sorted walk closes its kept images, bogus included, and reports that
+    # dimension, while the verdict and actual stay those of the main walk
+    bogus = Mat.from_entries(em3.dim, em3.dim, {(0, 1): Q(1)})
+    images = verify.current_images
+
+    def injecting(theta, tuples, em):
+        if isinstance(tuples, itertools.combinations_with_replacement):
+            yield bogus
+        yield from images(theta, tuples, em)
+
+    monkeypatch.setattr(verify, "current_images", injecting)
+    r = check_cycle_generation(em3)
+    assert (r.status, r.actual) == ("pass", "5")
+    assert r.parameters["sorted_tuple_closure_dim"] == 8
