@@ -16,7 +16,7 @@ END_TO_END = [
 ]
 
 
-def _run(verify_s, checks=4, failed=0, digest="d"):
+def _run(verify_s, checks=4, failed=0, digest=None):
     return {
         "correct": failed == 0,
         "failed": failed,
@@ -31,11 +31,14 @@ def _run(verify_s, checks=4, failed=0, digest="d"):
 
 
 def _pairs(parent, change):
-    return [
-        {"seed": 100 + i, "first": "parent" if i % 2 == 0 else "change",
-         "parent": p, "change": c}
-        for i, (p, c) in enumerate(zip(parent, change))
-    ]
+    pairs = []
+    for i, (p, c) in enumerate(zip(parent, change)):
+        seed = 100 + i
+        for run in (p, c):  # each seed sets up its own workload and digest
+            run["digest"] = run["digest"] or f"seed {seed}"
+        first = "parent" if i % 2 == 0 else "change"
+        pairs.append({"seed": seed, "first": first, "parent": p, "change": c})
+    return pairs
 
 
 def test_summary_counts_wins_and_spreads_each_side():
@@ -71,7 +74,7 @@ def test_higher_is_better_and_ties_are_not_wins():
 
 def test_failures_and_differing_digests_are_reported():
     parent = [_run(0.1)]
-    change = [_run(0.1, failed=2, digest="e")]
+    change = [_run(0.1, failed=2, digest="other")]
     out = bench_pairs.summarize(_pairs(parent, change), END_TO_END)
     assert out["correct_failed_attempted"]["change"] == [[False, 2, 40]]
     assert not out["digests_equal"]

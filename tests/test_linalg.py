@@ -124,8 +124,7 @@ def test_algebra_closure_stops_once_every_matrix_is_spanned(monkeypatch):
     # generators that span all 2x2 matrices get no product round
     assert len(algebra_closure([e12, e21, e11], 2)) == 4
     assert products == []
-    # over I, E_12, E_21 the sixth product, E_12 E_21 = E_11, fills the span,
-    # where a full round of nine and a second round of sixteen ran before
+    # over I, E_12, E_21 the sixth product, E_12 E_21 = E_11, fills the span
     assert len(algebra_closure([e12, e21], 2)) == 4
     assert len(products) == 6
 

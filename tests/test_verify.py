@@ -398,8 +398,11 @@ def test_sorted_cycle_walk_pulls_a_prefix_of_the_sorted_monomial_images(
 @pytest.mark.parametrize(
     "d,cap,status,actual,closed",
     [(4, 1, "pass", 14, [10, 9]), (4, 0, "fail", 3, [3, 3]), (3, 0, "fail", 2, [2, 2])],
+    ids=["d4-cap1", "d4-cap0", "d3-cap0"],
 )
-def test_cycle_closures_run_when_the_walks_fall_short(gl2, d, cap, status, actual, closed, monkeypatch):
+def test_cycle_closures_run_when_the_walks_fall_short(
+    gl2, d, cap, status, actual, closed, monkeypatch
+):
     """Below the commutant dimension both walks close their kept images
     (the identity and each image that enlarged the span); at cap 1 and
     d = 4 the sorted images span 9 dimensions and close to 14."""

@@ -7,8 +7,8 @@ parent.  The summary has, per workload and end-to-end metric, each side's
 median and quartiles over its runs, the runs themselves, and ``change_wins``,
 the pairs where the change reads better (lower, or higher for a metric whose
 ``better`` in ``BENCHMARK.json`` is ``higher``); per run, ``correct``,
-``failed`` and ``attempted``, the rounds that fit, and whether every run
-produced the same report digest.
+``failed`` and ``attempted``, the rounds that fit, and whether both sides
+of every pair produced the same report digest.
 
 Usage: python tools/bench_pairs.py PARENT CHANGE --workload W [--workload W ...]
        --seeds A-B [--seconds 30] [--out FILE]
@@ -63,7 +63,7 @@ def summarize(pairs: list, end_to_end: list) -> dict:
             for side in SIDES
         },
         "rounds": {side: [r["rounds"] for r in runs[side]] for side in SIDES},
-        "digests_equal": len({r["digest"] for side in SIDES for r in runs[side]}) == 1,
+        "digests_equal": all(p["parent"]["digest"] == p["change"]["digest"] for p in pairs),
         "metrics": {},
     }
     for spec in end_to_end:
