@@ -422,7 +422,10 @@ def _commutant_closure(em: EvaluationModule, images, expected: int):
     span all of it, and the commutant is an algebra, so the closure is
     ``expected`` with no product round.  Otherwise the kept images are
     closed: a closure depends only on the span of its generators, so this
-    is the closure of every image.
+    is the closure of every image walked, which is every image unless a
+    stray was kept and the span still reached ``expected`` (then the walk
+    stopped there, and the value is the closure of the images up to the
+    stop).
     """
     tracker, kept, stray = _commutant_span(em, images, expected)
     if tracker.dim == expected and not stray:

@@ -87,3 +87,13 @@ def test_seed_range():
     assert bench_pairs.seed_range("7") == [7]
     with pytest.raises(ValueError):
         bench_pairs.seed_range("5-4")
+
+
+def test_workloads_and_run_length_come_from_the_benchmark():
+    # argparse rejects these before any perfbench run starts
+    with pytest.raises(SystemExit):
+        bench_pairs.main(["bench_pairs.py", "a", "b", "--workload", "nope", "--seeds", "1"])
+    with pytest.raises(SystemExit):
+        bench_pairs.main(
+            ["bench_pairs.py", "a", "b", "--workload", "desk", "--seeds", "1", "--seconds", "8"]
+        )

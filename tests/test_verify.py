@@ -532,7 +532,9 @@ def test_cycle_check_rejects_image_outside_commutant(em3, monkeypatch):
 def test_sorted_walk_stray_leaves_the_verdict_alone(em3, monkeypatch):
     # a non-commuting matrix in front of every sorted image stream only: the
     # sorted walk closes its kept images, bogus included, and reports that
-    # dimension, while the verdict and actual stay those of the main walk
+    # dimension, while the verdict and actual stay those of the main walk;
+    # the span still reaches the commutant dimension, so the walk stops there
+    # and 8 is the closure of the sorted images up to the stop, not of all
     bogus = Mat.from_entries(em3.dim, em3.dim, {(0, 1): Q(1)})
     images = verify.current_images
 

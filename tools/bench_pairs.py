@@ -10,8 +10,11 @@ the pairs where the change reads better (lower, or higher for a metric whose
 ``failed`` and ``attempted``, the rounds that fit, and whether both sides
 of every pair produced the same report digest.
 
+Each run lasts ``run_seconds`` of ``BENCHMARK.json``, and the workloads are
+the ones it lists.
+
 Usage: python tools/bench_pairs.py PARENT CHANGE --workload W [--workload W ...]
-       --seeds A-B [--seconds 30] [--out FILE]
+       --seeds A-B [--out FILE]
 (the summary goes to FILE, or to standard output)
 """
 
@@ -105,13 +108,14 @@ def run_perfbench(checkout: Path, workload: str, seed: int, seconds: int) -> dic
 
 
 def main(argv: list) -> int:
+    benchmark = json.loads(BENCHMARK.read_text())
+    seconds = benchmark["run_seconds"]
     parser = argparse.ArgumentParser(prog="bench_pairs.py")
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
     parser.add_argument("--workload", action="append", required=True,
-                        choices=["desk", "commutant", "closure"])
+                        choices=[w["name"] for w in benchmark["workloads"]])
     parser.add_argument("--seeds", type=seed_range, required=True)
-    parser.add_argument("--seconds", type=int, default=30)
     parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv[1:])
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
@@ -121,16 +125,17 @@ def main(argv: list) -> int:
         for w in args.workload:
             pair = {"seed": seed, "first": order[0]}
             for side in order:
-                pair[side] = run_perfbench(checkouts[side], w, seed, args.seconds)
+                pair[side] = run_perfbench(checkouts[side], w, seed, seconds)
                 verify_s = pair[side]["metrics"]["verify_s"]["value"]
                 print(f"seed {seed} {w} {side}: verify_s {verify_s:.4f}", file=sys.stderr)
             pairs[w].append(pair)
-    end_to_end = json.loads(BENCHMARK.read_text())["end_to_end"]
     summary = {
         "seeds": args.seeds,
         "command": f"python3 perfbench/run.py --workload W --seed S "
-                   f"--seconds {args.seconds} --trace 0",
-        "end_to_end": {w: summarize(p, end_to_end) for w, p in pairs.items()},
+                   f"--seconds {seconds} --trace 0",
+        "end_to_end": {
+            w: summarize(p, benchmark["end_to_end"]) for w, p in pairs.items()
+        },
     }
     text = json.dumps(summary, indent=1) + "\n"
     if args.out:
