@@ -28,9 +28,8 @@ from .invariants import (
     Permutation,
     all_permutations,
     casimir_tensor,
-    theta_sigma_gl,
-    theta_cycle_gl,
-    theta_sigma_form,
+    covers,
+    theta_sigma,
     fft_tensors,
     schur_weyl_polys,
 )

@@ -19,7 +19,7 @@ from .liealg import LieAlgebraSpec
 from .linalg import Mat, lincomb
 from .modules import GModule, _promote, tensor_module
 from .poly import Poly
-from .rational import ONE, exact
+from .rational import exact
 
 
 @dataclass(frozen=True)
@@ -52,13 +52,6 @@ class InvariantTensor:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def canonical_key(self):
-        """Hashable normal form (used to deduplicate proportional tensors)."""
-        if not self.terms:
-            return (self.k,)
-        inv = ONE / self.terms[0][0]
-        return (self.k,) + tuple((idx, c * inv) for c, idx in self.terms)
 
 
 @dataclass(frozen=True)

@@ -1,23 +1,25 @@
 """Explicit invariant tensors from the First Fundamental Theorem.
 
-For gl(n) the spanning family is indexed by permutations of the tensor
-slots; for sp(2n) and so(n) by permutations of 2k slots, with paired
-indices tied together by the invariant form F of the family (Jhat for sp,
-J for so, both antidiagonal) and each paired factor symmetrized into
-sp(2n), resp. antisymmetrized into so(n).  All tensors are expanded into
-spec-basis coordinates at construction time so one representation serves
-every family.
+An invariant in g^{⊗k} is a product of traces tr(x_{c_1} ⋯ x_{c_r}), one
+per cycle of a cover of the k tensor slots (Procesi 1976).  One builder,
+``theta_sigma``, serves every family: it takes the gl(N) permutation
+tensor of σ and projects each slot onto the algebra (the identity for gl,
+X ↦ (X + θ(X))/2 for sp and so, θ the involution of their invariant
+form).  ``covers`` lists the σ needed: all of S_k for gl, and for sp and
+so, where tr x = 0 and a reversed cycle only changes sign, the
+fixed-point-free σ with one orientation per cycle.  Tensors are expanded
+into spec-basis coordinates at construction time.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
-from .liealg import GL, LieAlgebraSpec, form_matrix
-from .linalg import Mat
+from .liealg import GL, LieAlgebraSpec
 from .currents import InvariantTensor
 from .poly import Poly, lagrange_interpolant
-from .rational import Q, exact
+from .rational import exact
 
 
 class Permutation:
@@ -103,109 +105,68 @@ def casimir_tensor(spec: LieAlgebraSpec) -> InvariantTensor:
     return InvariantTensor.from_dict(2, acc)
 
 
-def _gl_index(n: int, i: int, j: int) -> int:
-    return (i - 1) * n + (j - 1)
+def covers(family: str, k: int):
+    """The permutations σ of the k slots whose θ_σ span the FFT invariants.
+
+    For gl, all of S_k.  For sp and so, tr x = 0 and reversing a cycle of
+    length r scales θ_σ by (−1)^r, so only the fixed-point-free σ count,
+    with each cycle of length r ≥ 3 in one orientation: from its least
+    entry m, σ(m) < σ⁻¹(m).  There are 0, 1, 1, 6, 22, 130 for k = 1..6.
+    """
+    if family == GL:
+        yield from all_permutations(k)
+        return
+    for sigma in all_permutations(k):
+        seen = set()
+        for m in range(1, k + 1):
+            if m in seen:
+                continue
+            cycle = [m]
+            while sigma(cycle[-1]) != m:
+                cycle.append(sigma(cycle[-1]))
+            seen.update(cycle)
+            if len(cycle) == 1 or cycle[1] > cycle[-1]:
+                break
+        else:
+            yield sigma
 
 
-def theta_sigma_gl(sigma: Permutation, n: int) -> InvariantTensor:
-    """Σ over i_1..i_k of E_{i_1, i_σ(1)} ⊗ ... ⊗ E_{i_k, i_σ(k)}."""
+def theta_sigma(sigma: Permutation, spec: LieAlgebraSpec) -> InvariantTensor:
+    """π^{⊗k} of the gl(N) tensor Σ over i_1..i_k of E_{i_1, i_σ(1)} ⊗ ... ⊗
+    E_{i_k, i_σ(k)}, in spec-basis coordinates.
+
+    π is the trace-form orthogonal projection of gl(N) onto the algebra, so
+    the coordinate of π(E_ab) along e_c is tr(E_ab e^c) = e^c[b, a] for the
+    dual basis e^c: π(E_ab) = E_ab for gl, and (E_ab + θ(E_ab))/2 with
+    θ(X) = −F⁻¹XᵀF for sp and so.  π commutes with the adjoint action, so
+    θ_σ is ad-invariant.  Paired with x_1 ⊗ ... ⊗ x_k by the trace form it
+    is the product, over the cycles (c_1 ... c_r) of σ, of the traces
+    tr(x_{c_r} ⋯ x_{c_1}).
+    """
     k = sigma.k
-    acc: dict = {}
-    for idx in itertools.product(range(1, n + 1), repeat=k):
-        key = tuple(
-            _gl_index(n, idx[j - 1], idx[sigma(j) - 1]) for j in range(1, k + 1)
-        )
-        acc[key] = acc.get(key, 0) + 1
-    return InvariantTensor.from_dict(k, acc)
-
-
-def theta_cycle_gl(k: int, n: int) -> InvariantTensor:
-    """θ for the distinguished cycle (1, 2, ..., k)."""
     if k < 1:
-        raise ValueError("cycle degree must be >= 1")
-    return theta_sigma_gl(Permutation.cycle(k), n)
-
-
-def _expand_factors(spec: LieAlgebraSpec, prefactor, factor_coords, acc: dict):
-    """Multilinear expansion of prefactor · f_1 ⊗ ... ⊗ f_k into acc."""
-    choices = [(prefactor, ())]
-    for coords in factor_coords:
-        nxt = []
-        for c, key in choices:
-            for b, cb in coords:
-                nxt.append((c * cb, key + (b,)))
-        choices = nxt
-    for c, key in choices:
-        acc[key] = acc.get(key, 0) + c
-
-
-def _sparse_coords(spec: LieAlgebraSpec, m: Mat):
-    return [(b, c) for b, c in enumerate(spec.coords(m)) if c]
-
-
-def paired_factor_table(spec: LieAlgebraSpec) -> dict:
-    """Spec coordinates of every paired factor of sp(2n) or so(n).
-
-    With F = form_matrix and F^T = εF, maps slot values (a, b) to the
-    sparse coordinates of (1/2)(e_a e_b^T F - ε e_b e_a^T F): that is
-    (1/2)(s(b) E_{a, bar b} + s(a) E_{b, bar a}) for sp and
-    (1/2)(E_{a, bar b} - E_{b, bar a}) for so.  Computing them verifies that
-    each factor lies in the algebra.
-    """
-    N = spec.matrix_size
-    F = form_matrix(spec.family, spec.n)
-    eps = 1 if F.transpose() == F else -1
-    half = Q(1, 2)
-    table = {}
-    for a in range(1, N + 1):
-        for b in range(1, N + 1):
-            ab = Mat.from_entries(N, N, {(a - 1, b - 1): half}) * F
-            ba = Mat.from_entries(N, N, {(b - 1, a - 1): half}) * F
-            table[(a, b)] = _sparse_coords(spec, ab - ba.scale(eps))
-    return table
-
-
-def theta_sigma_form(sigma: Permutation, spec: LieAlgebraSpec, factors=None):
-    """The FFT tensor of sp(2n) or so(n) for σ ∈ Σ_{2k}.
-
-    Free indices v run over the odd slots; each even slot holds bar v, the
-    pair carrying the coefficient F[v, bar v] of the antidiagonal form F =
-    form_matrix (the sign s(v) for sp, 1 for so).  Each of the k paired
-    factors is symmetrized into sp(2n), resp. antisymmetrized into so(n),
-    via the form; ``factors`` is ``paired_factor_table(spec)``, built here
-    when not given, so that ``fft_tensors`` builds it once for all σ.
-    """
-    if sigma.k % 2:
-        raise ValueError("paired tensors need a permutation of even degree")
-    if factors is None:
-        factors = paired_factor_table(spec)
-    k = sigma.k // 2
-    # (v, bar v, F[v, bar v]) over the nonzero entries of F, v ascending
-    pairs = [(r + 1, c + 1, f) for (r, c), f in form_matrix(spec.family, spec.n).items()]
-
+        raise ValueError(f"tensor degree must be >= 1, got {k}")
+    size = spec.matrix_size
+    pi = {
+        (a, b): [(c, dual[b, a]) for c, dual in enumerate(spec.dual_basis) if dual[b, a]]
+        for a in range(size)
+        for b in range(size)
+    }
+    partner = [sigma(j) - 1 for j in range(1, k + 1)]
     acc: dict = {}
-    for free in itertools.product(pairs, repeat=k):
-        slots = [0]
-        coeff = 1
-        for v, v_bar, f in free:
-            slots += (v, v_bar)
-            coeff *= f
-        coords = [
-            factors[slots[sigma(2 * j - 1)], slots[sigma(2 * j)]]
-            for j in range(1, k + 1)
-        ]
-        _expand_factors(spec, coeff, coords, acc)
+    for idx in itertools.product(range(size), repeat=k):
+        slots = [pi[idx[j], idx[partner[j]]] for j in range(k)]
+        for choice in itertools.product(*slots):
+            key = tuple(c for c, _ in choice)
+            acc[key] = acc.get(key, 0) + math.prod(v for _, v in choice)
     return InvariantTensor.from_dict(k, acc)
 
 
 def fft_tensors(spec: LieAlgebraSpec, k: int):
-    """All FFT spanning tensors of degree k for the given family."""
+    """The FFT spanning tensors of degree k: θ_σ over the family's covers."""
     if k < 1:
         raise ValueError(f"tensor degree must be >= 1, got {k}")
-    if spec.family == GL:
-        return [theta_sigma_gl(s, spec.n) for s in all_permutations(k)]
-    factors = paired_factor_table(spec)
-    return [theta_sigma_form(s, spec, factors) for s in all_permutations(2 * k)]
+    return [theta_sigma(sigma, spec) for sigma in covers(spec.family, k)]
 
 
 def schur_weyl_polys(tau, points, k: int):

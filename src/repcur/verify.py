@@ -26,14 +26,10 @@ from .currents import (
 )
 from .invariants import (
     Permutation,
-    all_permutations,
     casimir_tensor,
     fft_tensors,
-    paired_factor_table,
     schur_weyl_polys,
-    theta_cycle_gl,
-    theta_sigma_form,
-    theta_sigma_gl,
+    theta_sigma,
 )
 from .liealg import GL, SO, SP, LieAlgebraSpec, build_lie_algebra
 from .linalg import Mat, SpanTracker, algebra_closure, rref, solve_columns
@@ -264,7 +260,7 @@ def transposition_preimage_matrix(tau, em: EvaluationModule) -> Mat:
     """Matrix of Sum_ij E_ij(P_tau) E_ji(Q_tau) on a power of the standard
     gl(n) module; ``schur_weyl_polys`` rejects coincident points."""
     p_tau, q_tau = schur_weyl_polys(tau, em.points, em.d)
-    swap_tensor = theta_sigma_gl(Permutation((2, 1)), em.spec.n)
+    swap_tensor = theta_sigma(Permutation((2, 1)), em.spec)
     return invariant_operator_matrix(swap_tensor, [p_tau, q_tau], em)
 
 
@@ -319,37 +315,6 @@ def _default_cap(em: EvaluationModule, degree_cap) -> int:
     return cap
 
 
-def _distinct_tensors(spec: LieAlgebraSpec, k: int):
-    """FFT tensors of degree k, deduplicated up to nonzero scalar.
-
-    For sp and so only the σ ∈ Σ_{2k} whose factor pairs ascend,
-    σ(2j−1) < σ(2j), are expanded: swapping the slots of a pair scales θ_σ
-    by −ε (see ``paired_factor_table``), so the first σ of each class of
-    proportional tensors ascends and the list equals the one deduplicated
-    from all of ``fft_tensors``.
-    """
-    if spec.family == GL:
-        tensors = fft_tensors(spec, k)
-    else:
-        factors = paired_factor_table(spec)
-        tensors = (
-            theta_sigma_form(s, spec, factors)
-            for s in all_permutations(2 * k)
-            if all(s.images[i] < s.images[i + 1] for i in range(0, 2 * k, 2))
-        )
-    seen = set()
-    out = []
-    for th in tensors:
-        if th.is_zero():
-            continue
-        key = th.canonical_key()
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(th)
-    return out
-
-
 def _slot_basis(em: EvaluationModule, cap: int) -> list:
     """Reduced basis of span{1, t, ..., t^cap} as functions on the points.
 
@@ -378,8 +343,9 @@ def fft_current_images(em: EvaluationModule, degree_cap: int):
     n_i ≤ degree_cap."""
     basis = _slot_basis(em, degree_cap)
     for k in range(1, em.d + 1):
-        for th in _distinct_tensors(em.spec, k):
-            yield from current_images(th, itertools.product(basis, repeat=k), em)
+        for th in fft_tensors(em.spec, k):
+            if not th.is_zero():
+                yield from current_images(th, itertools.product(basis, repeat=k), em)
 
 
 def _commutant_span(em: EvaluationModule, images, expected: int):
@@ -540,7 +506,7 @@ def check_cycle_generation(em: EvaluationModule, degree_cap=None):
     expected = commutant_dimension(em.carrier)
 
     basis = _slot_basis(em, cap)
-    thetas = [theta_cycle_gl(j, em.spec.n) for j in range(1, em.d + 1)]
+    thetas = [theta_sigma(Permutation.cycle(j), em.spec) for j in range(1, em.d + 1)]
     images = itertools.chain.from_iterable(
         current_images(th, itertools.product(basis, repeat=th.k), em) for th in thetas
     )

@@ -64,7 +64,18 @@ def test_ad_invariance_command_emits_the_family_check(runner):
     assert res.exit_code == 0
     checks = json.loads(res.output)["checks"]
     assert [c["check_name"] for c in checks] == ["ad_invariance", "ad_invariance_family"]
-    assert checks[1]["parameters"]["tensors"] == 384
+    assert checks[1]["parameters"]["tensors"] == 1
+
+
+def test_ad_invariance_command_reaches_degree_five(runner):
+    # one tensor per sp cover: 22 in degree 5, against 10! permutations of
+    # 10 paired slots
+    res = invoke(runner, ["verify", "ad-invariance", "--family", "sp", "-n", "1",
+                          "-k", "5", "-o", "-"])
+    assert res.exit_code == 0
+    checks = json.loads(res.output)["checks"]
+    assert checks[1]["status"] == "pass"
+    assert checks[1]["parameters"]["tensors"] == 22
 
 
 def test_schur_weyl_command(runner):

@@ -1,22 +1,37 @@
 """Invariant tensors: permutation families, Casimir, Lagrange pairs."""
 
+import itertools
+import math
+
 import pytest
 
-from repcur.currents import EvaluationModule, invariant_operator_matrix
 from repcur.invariants import (
     Permutation,
     all_permutations,
     casimir_tensor,
+    covers,
     fft_tensors,
     schur_weyl_polys,
-    theta_cycle_gl,
-    theta_sigma_form,
-    theta_sigma_gl,
+    theta_sigma,
 )
 from repcur.liealg import GL, SO, SP, build_lie_algebra
-from repcur.poly import Poly
+from repcur.linalg import Mat, SpanTracker
 from repcur.rational import Q
 from repcur.verify import ad_invariance_defect
+
+
+def _proportional(a, b) -> bool:
+    """a and b are nonzero tensors, each a multiple of the other."""
+    return a.scale(b.terms[0][0]) == b.scale(a.terms[0][0])
+
+
+def _span_rank(tensors, dim: int, k: int) -> int:
+    """Rank of the tensors as vectors of length dim^k."""
+    tracker = SpanTracker(dim**k)
+    for th in tensors:
+        flat = {(0, sum(i * dim**p for p, i in enumerate(idx))): c for c, idx in th.terms}
+        tracker.add(Mat.from_entries(1, dim**k, flat))
+    return tracker.dim
 
 
 # -- permutations ---------------------------------------------------------
@@ -47,17 +62,32 @@ def test_permutation_composition_order():
 
 def test_theta_identity_is_casimir_multiple():
     # k = 2, sigma = (1 2): Sum E_ij (x) E_ji, the gl Casimir tensor
-    swap = theta_sigma_gl(Permutation((2, 1)), 2)
     gl2 = build_lie_algebra(GL, 2)
-    assert swap.canonical_key() == casimir_tensor(gl2).canonical_key()
+    swap = theta_sigma(Permutation((2, 1)), gl2)
+    assert _proportional(swap, casimir_tensor(gl2))
 
 
 def test_theta_cycle_count():
-    th = theta_cycle_gl(3, 2)
+    gl2 = build_lie_algebra(GL, 2)
+    th = theta_sigma(Permutation.cycle(3), gl2)
     assert th.k == 3
     assert not th.is_zero()
-    with pytest.raises(ValueError):
-        theta_cycle_gl(0, 2)
+    with pytest.raises(ValueError, match="tensor degree must be >= 1"):
+        theta_sigma(Permutation.cycle(0), gl2)
+
+
+@pytest.mark.parametrize("n,k", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)])
+def test_gl_tensors_are_the_permutation_tensors(n, k):
+    """On gl the projection is the identity: θ_σ is Σ_i ⊗_j E_{i_j, i_σ(j)}
+    itself, with integer coefficients, in the order of S_k."""
+    spec = build_lie_algebra(GL, n)
+    for sigma, th in zip(all_permutations(k), fft_tensors(spec, k), strict=True):
+        want: dict = {}
+        for idx in itertools.product(range(n), repeat=k):
+            key = tuple(idx[j - 1] * n + idx[sigma(j) - 1] for j in range(1, k + 1))
+            want[key] = want.get(key, 0) + 1
+        assert th.terms == tuple((c, key) for key, c in sorted(want.items()))
+        assert all(type(c) is int for c, _ in th.terms)
 
 
 @pytest.mark.parametrize("family,n", [(GL, 2), (SP, 1), (SO, 3)])
@@ -68,7 +98,7 @@ def test_fft_tensors_reject_degree_below_one(family, n, k):
         fft_tensors(build_lie_algebra(family, n), k)
 
 
-@pytest.mark.parametrize("n,k", [(2, 1), (2, 2), (2, 3), (3, 2)])
+@pytest.mark.parametrize("n,k", [(2, 1), (2, 2), (2, 3), (3, 2), (2, 4), (3, 3)])
 def test_gl_tensors_are_ad_invariant(n, k):
     spec = build_lie_algebra(GL, n)
     for th in fft_tensors(spec, k):
@@ -76,42 +106,95 @@ def test_gl_tensors_are_ad_invariant(n, k):
         assert all(type(c) is int for c, _ in th.terms)
 
 
+# -- covers ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("family", [GL, SP, SO])
+def test_cover_counts(family):
+    """k! permutations for gl; for sp and so the loopless, unoriented
+    2-regular multigraphs on k labelled vertices."""
+    counts = [len(list(covers(family, k))) for k in range(1, 7)]
+    if family == GL:
+        assert counts == [math.factorial(k) for k in range(1, 7)]
+    else:
+        assert counts == [0, 1, 1, 6, 22, 130]
+
+
+def test_form_covers_are_fixed_point_free_with_one_orientation():
+    for sigma in covers(SP, 5):
+        assert all(sigma(i) != i for i in range(1, 6))
+    assert [s.images for s in covers(SO, 3)] == [(2, 3, 1)]
+    assert [s.images for s in covers(SO, 4)] == [
+        (2, 1, 4, 3),
+        (2, 3, 4, 1),
+        (2, 4, 1, 3),
+        (3, 4, 1, 2),
+        (3, 4, 2, 1),
+        (4, 3, 2, 1),
+    ]
+
+
+@pytest.mark.parametrize(
+    "family,n,ranks",
+    [
+        (GL, 2, [1, 2, 5]),
+        (GL, 3, [1, 2, 6]),
+        (SP, 1, [0, 1, 1, 3]),
+        (SP, 2, [0, 1, 1]),
+        (SO, 3, [0, 1, 1, 3]),
+        (SO, 4, [0, 1, 1]),
+    ],
+)
+def test_fft_tensor_span_ranks(family, n, ranks):
+    """The ranks of the FFT tensor spans for k = 1, 2, ..., as measured
+    with the Σ_2k paired-factor builder that the cover builder replaced."""
+    spec = build_lie_algebra(family, n)
+    got = [_span_rank(fft_tensors(spec, k), spec.dim, k) for k in range(1, len(ranks) + 1)]
+    assert got == ranks
+
+
 # -- sp tensors -----------------------------------------------------------
 
 
 def test_sp_degree_one_tensors_vanish():
-    """The symplectic trace is zero, so every k = 1 tensor collapses."""
+    """The symplectic trace is zero: no k = 1 cover, and θ_id collapses."""
     spec = build_lie_algebra(SP, 1)
-    for sigma in all_permutations(2):
-        assert theta_sigma_form(sigma, spec).is_zero()
+    assert fft_tensors(spec, 1) == []
+    assert theta_sigma(Permutation.identity(1), spec).is_zero()
 
 
-@pytest.mark.parametrize("n,k", [(1, 2), (2, 2)])
+@pytest.mark.parametrize("n,k", [(1, 2), (2, 2), (1, 3), (1, 4), (2, 3)])
 def test_sp_tensors_are_ad_invariant(n, k):
     spec = build_lie_algebra(SP, n)
-    shared = fft_tensors(spec, k)  # one factor table for every sigma
-    for sigma, th in zip(all_permutations(2 * k), shared, strict=True):
-        assert th == theta_sigma_form(sigma, spec)
+    for th in fft_tensors(spec, k):
+        assert not th.is_zero()
         assert ad_invariance_defect(th, spec) is None
 
 
 def test_sp_degree_two_tensors_all_proportional_to_casimir():
-    """For sp(2), every nonzero degree-2 tensor is a Casimir multiple."""
+    """For sp(2), the one nonzero degree-2 tensor is a Casimir multiple:
+    σ = id gives tr x · tr y = 0, and σ = (1 2) gives tr(xy)."""
     spec = build_lie_algebra(SP, 1)
-    omega_key = casimir_tensor(spec).canonical_key()
+    omega = casimir_tensor(spec)
     nonzero = 0
-    for sigma in all_permutations(4):
-        th = theta_sigma_form(sigma, spec)
+    for sigma in all_permutations(2):
+        th = theta_sigma(sigma, spec)
         if th.is_zero():
             continue
         nonzero += 1
-        assert th.canonical_key() == omega_key
-    assert nonzero == 16
+        assert _proportional(th, omega)
+    assert nonzero == 1
 
 
-def test_sp_rejects_odd_degree():
-    with pytest.raises(ValueError):
-        theta_sigma_form(Permutation((2, 3, 1)), build_lie_algebra(SP, 1))
+def test_reversed_cycle_scales_theta_by_its_sign():
+    """tr(x_1 ⋯ x_r) = (−1)^r tr(x_r ⋯ x_1) on sp and so, so a cycle and its
+    reverse give proportional tensors and one orientation suffices."""
+    for family, n in [(SP, 1), (SP, 2), (SO, 3), (SO, 4)]:
+        spec = build_lie_algebra(family, n)
+        for r in (2, 3, 4):
+            cycle = Permutation.cycle(r)
+            forward, backward = theta_sigma(cycle, spec), theta_sigma(cycle.inverse(), spec)
+            assert backward == forward.scale((-1) ** r)
 
 
 # -- so tensors -----------------------------------------------------------
@@ -119,15 +202,16 @@ def test_sp_rejects_odd_degree():
 
 def test_so_degree_one_tensors_vanish():
     spec = build_lie_algebra(SO, 3)
-    for sigma in all_permutations(2):
-        assert theta_sigma_form(sigma, spec).is_zero()
+    assert fft_tensors(spec, 1) == []
+    assert theta_sigma(Permutation.identity(1), spec).is_zero()
 
 
-@pytest.mark.parametrize("n,k", [(3, 2), (4, 2)])
+@pytest.mark.parametrize("n,k", [(3, 2), (4, 2), (3, 3), (3, 4), (4, 3)])
 def test_so_tensors_are_ad_invariant(n, k):
     spec = build_lie_algebra(SO, n)
-    for sigma in all_permutations(2 * k):
-        assert ad_invariance_defect(theta_sigma_form(sigma, spec), spec) is None
+    for th in fft_tensors(spec, k):
+        assert not th.is_zero()
+        assert ad_invariance_defect(th, spec) is None
 
 
 def test_non_invariant_probe_is_detected():

@@ -15,8 +15,7 @@ from repcur.invariants import (
     Permutation,
     casimir_tensor,
     fft_tensors,
-    theta_cycle_gl,
-    theta_sigma_gl,
+    theta_sigma,
 )
 from repcur.liealg import GL, SO, SP, build_lie_algebra
 from repcur.linalg import Mat, SpanTracker, rank, solve_columns
@@ -80,7 +79,7 @@ def test_ad_invariance_family_reports_the_first_defect(gl2, monkeypatch):
 
 
 def test_commutant_check(gl2, em2):
-    theta = theta_sigma_gl(Permutation((2, 1)), 2)
+    theta = theta_sigma(Permutation((2, 1)), gl2)
     r = check_commutant(theta, [Poly([1, 1]), Poly([0, 0, 1])], em2)
     assert r.passed
 
@@ -229,15 +228,16 @@ def test_span_surjectivity(family, n, d, expected):
     assert r.actual == str(expected)
 
 
-@pytest.mark.parametrize("family,n,kmax", [(SP, 1, 3), (SP, 2, 2), (SO, 3, 3), (SO, 4, 2)])
-def test_distinct_tensors_equal_the_full_enumeration(family, n, kmax):
-    spec = build_lie_algebra(family, n)
-    for k in range(1, kmax + 1):
-        first = {}  # canonical key -> first nonzero tensor, in enumeration order
-        for th in fft_tensors(spec, k):
-            if not th.is_zero():
-                first.setdefault(th.canonical_key(), th)
-        assert verify._distinct_tensors(spec, k) == list(first.values())
+def test_so4_span_misses_the_epsilon_invariant():
+    """Negative control for the so(4) span claim: the Brauer (O(4)) tensors
+    miss the Hodge star on V (x) V, an SO(4) invariant, so one round of
+    products lifts the direct span 2 only to 3 of the commutant's 4."""
+    v = standard_module(build_lie_algebra(SO, 4))
+    r = check_span_surjectivity(EvaluationModule([v, v], [Q(0), Q(1)]))
+    assert r.status == "fail"
+    assert (r.expected, r.actual) == ("4", "3")
+    assert r.parameters["direct_span"] == 2
+    assert r.parameters["product_extended"] is True
 
 
 def test_span_check_rejects_image_outside_commutant(em2, monkeypatch):
@@ -385,7 +385,10 @@ def test_sorted_cycle_walk_pulls_a_prefix_of_the_sorted_monomial_images(
     assert check_cycle_generation(em, cap).passed
     sorted_images = [
         current_operator_matrix(
-            theta_operator(theta_cycle_gl(j, 2), [Poly.monomial(m) for m in degs]), em
+            theta_operator(
+                theta_sigma(Permutation.cycle(j), gl2), [Poly.monomial(m) for m in degs]
+            ),
+            em,
         )
         for j in range(1, d + 1)
         for degs in itertools.product(range(cap + 1), repeat=j)
