@@ -68,8 +68,7 @@ def test_ad_invariance_command_emits_the_family_check(runner):
 
 
 def test_ad_invariance_command_reaches_degree_five(runner):
-    # one tensor per sp cover: 22 in degree 5, against 10! permutations of
-    # 10 paired slots
+    # one tensor per sp cover: 22 in degree 5
     res = invoke(runner, ["verify", "ad-invariance", "--family", "sp", "-n", "1",
                           "-k", "5", "-o", "-"])
     assert res.exit_code == 0

@@ -146,8 +146,9 @@ def test_form_covers_are_fixed_point_free_with_one_orientation():
     ],
 )
 def test_fft_tensor_span_ranks(family, n, ranks):
-    """The ranks of the FFT tensor spans for k = 1, 2, ..., as measured
-    with the Σ_2k paired-factor builder that the cover builder replaced."""
+    """Ranks of the FFT tensor spans for k = 1, 2, ...: k! on gl(n) for
+    k <= n, and one dimension short at gl(2), k = 3, where the
+    antisymmetrizer vanishes."""
     spec = build_lie_algebra(family, n)
     got = [_span_rank(fft_tensors(spec, k), spec.dim, k) for k in range(1, len(ranks) + 1)]
     assert got == ranks

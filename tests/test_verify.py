@@ -14,7 +14,6 @@ from repcur.currents import (
 from repcur.invariants import (
     Permutation,
     casimir_tensor,
-    fft_tensors,
     theta_sigma,
 )
 from repcur.liealg import GL, SO, SP, build_lie_algebra
