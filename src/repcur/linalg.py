@@ -17,8 +17,9 @@ Row reduction is fraction-free.  The one reducer, ``SpanTracker``, clears
 the denominators of each incoming vector by their lcm, eliminates by
 cross-multiplying integer rows and keeps every pivot row primitive: int
 entries with gcd 1 and a positive lead.  Scaling a row never changes a
-span, so ranks and containment need no division; only ``rref`` divides,
-once per pivot row, when it returns the reduced form.
+span, so ranks and containment need no division; only ``rref`` and
+``null_space`` divide, by each pivot row's lead, when they return the
+reduced form or the kernel read off it.
 """
 
 from __future__ import annotations
@@ -265,17 +266,32 @@ def kernel_basis(m: Mat) -> list:
 
     Vectors are ordered by free column; each has a 1 in its free column.
     """
-    r, rk, pivots = rref(m)
-    pivot_set = set(pivots)
-    free = [j for j in range(m.cols) if j not in pivot_set]
-    basis = []
-    for f in free:
-        v = [0] * m.cols
+    return null_space((dict(row) for row in m.data), m.cols)
+
+
+def null_space(rows, length: int, max_rank: int | None = None) -> list:
+    """Basis of {x : r·x = 0 for every row r}, as dense lists of ``length``.
+
+    Each row is a {index: value} dict of nonzero entries, consumed by the
+    reduction.  Vectors are ordered by free index; each has a 1 in its free
+    index and is zero in the other free indices.  Rows are no longer read
+    once their rank reaches ``max_rank``, a bound the caller knows the rank
+    cannot pass, so the rows left unread lie in the span already reduced.
+    """
+    tracker = SpanTracker(length)
+    rows = iter(rows)
+    while tracker.dim != max_rank and (row := next(rows, None)) is not None:
+        tracker._absorb(row)
+    pivots = tracker._pivots
+    basis = {f: [0] * length for f in range(length) if f not in pivots}
+    for f, v in basis.items():
         v[f] = 1
-        for i, p in enumerate(pivots):
-            v[p] = -r[i, f]
-        basis.append(v)
-    return basis
+    for p, prow in pivots.items():  # reduced: its other entries are in free indices
+        lead = prow[p]
+        for f, x in prow.items():
+            if f != p:
+                basis[f][p] = -x if lead == 1 else -exact(ONE / lead * x)
+    return list(basis.values())
 
 
 def stack_rows(mats, cols: int) -> Mat:

@@ -24,6 +24,7 @@ from .linalg import (
     SpanTracker,
     kernel_basis,
     lincomb,
+    null_space,
     solve_columns,
     stack_rows,
 )
@@ -320,26 +321,26 @@ def casimir_eigenvalue(spec: LieAlgebraSpec, irrep: GModule):
 # -- commutants -----------------------------------------------------------
 
 
-def _kernel_combinations(candidates: list, operator: Mat) -> list:
-    """Members of span(candidates) commuting with ``operator``.
-
-    candidates are square matrices; returns a new basis of the subspace
-    {M in span : [M, operator] = 0}, expressed as matrices again.
-    """
-    if not candidates:
-        return []
-    size = candidates[0].rows
-    # one linear condition (row) per matrix position where some commutator
-    # is nonzero, one column per candidate; the kernel ignores row order
-    row_of: dict = {}
-    entries = {}
-    for col, k in enumerate(candidates):
-        for pos, v in k.commutator(operator).items():
-            entries[(row_of.setdefault(pos, len(row_of)), col)] = v
-    if not row_of:
-        return candidates
-    coeff_matrix = Mat.from_entries(len(row_of), len(candidates), entries)
-    return [lincomb(zip(coeffs, candidates), size, size) for coeffs in kernel_basis(coeff_matrix)]
+def _commutator_rows(a: Mat, unknown: dict, block_of: list):
+    """The conditions [M, a] = 0 on the entries of a weight-preserving M:
+    per position (i, j), Σ_{q≈i} a[q, j]·m_iq − Σ_{p≈j} a[i, p]·m_pj, as a
+    {unknown index: coefficient} dict, read off the rows of ``a`` with no
+    matrix product.  ``unknown`` numbers the pairs (p, q) of equal weight
+    and ``block_of[i]`` lists the carrier indices of i's weight."""
+    rows: dict = {}
+    for q, arow in enumerate(a.data):  # the m_iq a[q, j] of (M a)[i, j]
+        for i in block_of[q]:
+            k = unknown[i, q]
+            for j, x in arow.items():
+                rows.setdefault((i, j), {})[k] = x
+    for i, arow in enumerate(a.data):  # minus the a[i, p] m_pj of (a M)[i, j]
+        for p, x in arow.items():
+            for j in block_of[p]:
+                row = rows.setdefault((i, j), {})
+                k = unknown[p, j]
+                row[k] = row.get(k, 0) - x
+    # only m_ij gets both terms, a[j, j] − a[i, i], which may cancel
+    return ({k: x for k, x in row.items() if x} for row in rows.values())
 
 
 def commutant_basis(actions: list, carrier: GModule) -> list:
@@ -347,25 +348,34 @@ def commutant_basis(actions: list, carrier: GModule) -> list:
 
     ``carrier`` is the g-module the actions act on, and its g-action must be
     among them.  A commuting M preserves every weight space, and the carrier
-    basis is a weight basis, so the search is seeded with the matrix units
-    E_pq for carrier indices p, q of equal weight; this keeps the linear
-    systems small.  A combined operator is intersected first so later
-    intersections run in low dimension.
+    basis is a weight basis, so the unknowns are the N entries m_pq with p
+    and q of equal weight.  Every action contributes one condition per
+    position of [M, A] = 0 (``_commutator_rows``), and one reduction solves
+    them all.  It stops at rank N − 1: the identity always commutes, so the
+    solutions are then its multiples, which ends every irreducible case
+    early.
     """
     if not actions:
         raise ValueError("commutant of an empty action list is everything")
-    size = actions[0].rows
+    size = carrier.dim
+    for a in actions:
+        if a.shape != (size, size):
+            raise ValueError(f"action of shape {a.shape} on a carrier of dimension {size}")
 
-    candidates: list[Mat] = []
+    unknown: dict = {}  # (p, q) of equal weight -> its index
+    block_of: list = [None] * size
     for _, space in weight_decomposition(carrier):
         block = [i for (i, _), _ in space.items()]  # the rows of its unit columns
-        candidates.extend(Mat.from_entries(size, size, {(p, q): 1}) for p in block for q in block)
-
-    combined = lincomb(((i + 1, a) for i, a in enumerate(actions)), size, size)
-    candidates = _kernel_combinations(candidates, combined)
-    for a in actions:
-        candidates = _kernel_combinations(candidates, a)
-    return candidates
+        for p in block:
+            block_of[p] = block
+            for q in block:
+                unknown[p, q] = len(unknown)
+    rows = (row for a in actions for row in _commutator_rows(a, unknown, block_of))
+    pairs = list(unknown)
+    return [
+        Mat.from_entries(size, size, {pairs[k]: x for k, x in enumerate(v) if x})
+        for v in null_space(rows, len(pairs), max_rank=len(pairs) - 1)
+    ]
 
 
 def commutant_dimension(module: GModule) -> int:

@@ -1,6 +1,8 @@
 """The pair summary of tools/bench_pairs.py, on made-up runs."""
 
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -16,7 +18,7 @@ END_TO_END = [
 ]
 
 
-def _run(verify_s, checks=4, failed=0, digest=None):
+def _run(verify_s, checks=4, failed=0, digest=None, unsampled=0):
     return {
         "correct": failed == 0,
         "failed": failed,
@@ -26,6 +28,7 @@ def _run(verify_s, checks=4, failed=0, digest=None):
             "checks": {"value": checks, "unit": "count"},
         },
         "rounds": 10,
+        "unsampled_rounds": unsampled,
         "digest": digest,
     }
 
@@ -43,12 +46,13 @@ def _pairs(parent, change):
 
 def test_summary_counts_wins_and_spreads_each_side():
     parent = [_run(v) for v in (0.10, 0.12, 0.11, 0.13, 0.09)]
-    change = [_run(v) for v in (0.08, 0.07, 0.12, 0.06, 0.05)]
+    change = [_run(v, unsampled=u) for v, u in zip((0.08, 0.07, 0.12, 0.06, 0.05), (10, 3, 0, 10, 1))]
     out = bench_pairs.summarize(_pairs(parent, change), END_TO_END)
     assert out["pairs"] == 5 and out["seeds"] == [100, 101, 102, 103, 104]
     assert out["first"] == ["parent", "change", "parent", "change", "parent"]
     assert out["correct_failed_attempted"]["change"][0] == [True, 0, 40]
     assert out["rounds"] == {"parent": [10] * 5, "change": [10] * 5}
+    assert out["unsampled_rounds"] == {"parent": [0] * 5, "change": [10, 3, 0, 10, 1]}
     assert out["digests_equal"]
     verify_s = out["metrics"]["verify_s"]
     assert verify_s["unit"] == "s"
@@ -97,3 +101,22 @@ def test_workloads_and_run_length_come_from_the_benchmark():
         bench_pairs.main(
             ["bench_pairs.py", "a", "b", "--workload", "desk", "--seeds", "1", "--seconds", "8"]
         )
+
+
+def test_unsampled_rounds_are_read_off_the_run_record(tmp_path, monkeypatch):
+    """A round with no speed sample has factor exactly 1.0 in the record."""
+    result = {"correct": True, "attempted": 12, "failed": 0, "metrics": {}}
+    record = {
+        "digest": "d",
+        "rounds": [{"factor": f} for f in (1.0, 1.3, 1.0, 0.9)],
+    }
+    (tmp_path / ".perfbench_results").mkdir()
+    (tmp_path / ".perfbench_results" / "desk-seed5-trace0.json").write_text(json.dumps(record))
+
+    def fake_run(cmd, cwd, **kwargs):
+        assert cwd == tmp_path and cmd[-6:] == ["--seed", "5", "--seconds", "8", "--trace", "0"]
+        return subprocess.CompletedProcess(cmd, 0, stdout=f"round: ...\n{json.dumps(result)}\n")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    run = bench_pairs.run_perfbench(tmp_path, "desk", 5, 8)
+    assert run == {**result, "rounds": 4, "unsampled_rounds": 2, "digest": "d"}

@@ -12,6 +12,7 @@ from repcur.linalg import (
     inverse,
     kernel_basis,
     lincomb,
+    null_space,
     rank,
     rref,
     solve_columns,
@@ -69,6 +70,34 @@ def test_kernel_vectors_annihilate():
     m = mat([[1, 2, 3], [4, 5, 6]])
     for v in kernel_basis(m):
         assert all(x == 0 for x in m.apply(v))
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_mats)
+def test_kernel_is_read_off_the_rref(rows):
+    """One vector per free column f: 1 there, −R[i, f] at the i-th pivot."""
+    m = mat(rows)
+    r, _, pivots = rref(m)
+    want = []
+    for f in (j for j in range(3) if j not in pivots):
+        v = [0] * 3
+        v[f] = 1
+        for i, p in enumerate(pivots):
+            v[p] = -r[i, f]
+        want.append(v)
+    got = kernel_basis(m)
+    assert got == want
+    assert all(type(x) is int or x.denominator != 1 for v in got for x in v)
+
+
+def test_null_space_reads_no_row_past_the_rank_bound():
+    def rows(*given):
+        yield from given
+        raise AssertionError("read a row past the rank bound")
+
+    assert null_space(rows({0: 1, 1: -1}, {1: 2, 2: -2}), 3, max_rank=2) == [[1, 1, 1]]
+    assert null_space(rows(), 2, max_rank=0) == [[1, 0], [0, 1]]
+    assert null_space([{0: Q(1, 2), 1: 3}], 2) == [[-6, 1]]
 
 
 def test_inverse_round_trip():

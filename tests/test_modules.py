@@ -5,11 +5,14 @@ import tracemalloc
 
 import pytest
 
+from repcur import modules
+from repcur.currents import EvaluationModule
 from repcur.liealg import GL, SO, SP, build_lie_algebra
-from repcur.linalg import Mat
+from repcur.linalg import Mat, SpanTracker
 from repcur.modules import (
     build_irrep,
     casimir_eigenvalue,
+    commutant_basis,
     commutant_dimension,
     is_dominant,
     isotypic_decompose,
@@ -18,6 +21,7 @@ from repcur.modules import (
     trivial_module,
     weight_decomposition,
 )
+from repcur.poly import Poly
 from repcur.rational import Q
 
 
@@ -214,6 +218,82 @@ def test_so3_commutant_dimension():
     w = standard_module(so3)
     # identity, the factor swap, and the invariant-pairing projector
     assert commutant_dimension(tensor_module([w, w])) == 3
+
+
+def test_commutant_basis_validates_its_actions(gl2):
+    v = standard_module(gl2)
+    square = tensor_module([v, v])
+    with pytest.raises(ValueError, match="empty action list"):
+        commutant_basis([], square)
+    with pytest.raises(ValueError, match=r"shape \(2, 2\) on a carrier of dimension 4"):
+        commutant_basis(v.actions, square)
+    with pytest.raises(ValueError, match=r"shape \(4, 4\) on a carrier of dimension 2"):
+        commutant_basis(square.actions, v)
+
+
+@pytest.mark.parametrize(
+    "family,n,factors",
+    [
+        (GL, 2, [None]),
+        (GL, 2, [None] * 2),
+        (GL, 2, [None] * 3),
+        (GL, 2, [None] * 4),
+        (SP, 1, [None] * 3),
+        (SO, 3, [None] * 3),
+        (SO, 4, [None] * 2),
+        (GL, 2, [(2, 0), None, None]),
+    ],
+)
+def test_commutant_basis_against_the_isotypic_multiplicities(family, n, factors):
+    """The g-commutant is the product of the matrix algebras of the
+    multiplicity spaces, of dimension Σ m² over the isotypic components.
+    Every basis matrix preserves each weight space and commutes with each
+    action, and the matrices are linearly independent.  None stands for V."""
+    spec = build_lie_algebra(family, n)
+    module = tensor_module(
+        [standard_module(spec) if lam is None else build_irrep(spec, lam, sum(lam)) for lam in factors]
+    )
+    basis = commutant_basis(module.actions, module)
+    mults = sum(c.multiplicity**2 for c in isotypic_decompose(module))
+    assert len(basis) == commutant_dimension(module) == mults
+    weight = {i: w for w, cols in weight_decomposition(module) for (i, _), _ in cols.items()}
+    span = SpanTracker(module.dim**2)
+    for m in basis:
+        assert all(weight[p] == weight[q] for (p, q), _ in m.items())
+        assert all(m * a == a * m for a in module.actions)
+        assert span.add(m)
+
+
+def _current_actions(em):
+    """b(t^k) on the evaluation module for every basis element b and k < d."""
+    return [em.basis_action(b, Poly.monomial(k)) for k in range(em.d) for b in range(em.spec.dim)]
+
+
+@pytest.mark.parametrize("family,n,d", [(GL, 2, 3), (GL, 3, 3), (SP, 1, 3), (SO, 3, 2)])
+def test_commutant_stops_at_the_identity_at_distinct_points(family, n, d, monkeypatch):
+    """At distinct points the g[t]-commutant is the scalars, so the solve
+    stops once its conditions leave only the identity, before every action
+    is read."""
+    em = EvaluationModule([standard_module(build_lie_algebra(family, n))] * d, list(range(d)))
+    actions = _current_actions(em)
+    read = []
+    rows = modules._commutator_rows
+    monkeypatch.setattr(modules, "_commutator_rows", lambda a, *rest: read.append(a) or rows(a, *rest))
+    assert commutant_basis(actions, em.carrier) == [Mat.identity(em.dim)]
+    assert 0 < len(read) < len(actions)
+
+
+@pytest.mark.parametrize("family,n,d", [(GL, 2, 3), (SP, 1, 3), (SO, 3, 2)])
+def test_commutant_at_coincident_points_is_the_g_commutant(family, n, d):
+    """At one point t^k acts as a scalar multiple of t^0, so the currents
+    commute with exactly what g commutes with."""
+    em = EvaluationModule([standard_module(build_lie_algebra(family, n))] * d, [2] * d)
+    basis = commutant_basis(_current_actions(em), em.carrier)
+    assert len(basis) == commutant_dimension(em.carrier) > 1
+    span = SpanTracker(em.dim**2)
+    for m in commutant_basis(em.carrier.actions, em.carrier):
+        span.add(m)
+    assert all(span.contains(m) for m in basis)
 
 
 @pytest.mark.parametrize(

@@ -7,8 +7,11 @@ parent.  The summary has, per workload and end-to-end metric, each side's
 median and quartiles over its runs, the runs themselves, and ``change_wins``,
 the pairs where the change reads better (lower, or higher for a metric whose
 ``better`` in ``BENCHMARK.json`` is ``higher``); per run, ``correct``,
-``failed`` and ``attempted``, the rounds that fit, and whether both sides
-of every pair produced the same report digest.
+``failed`` and ``attempted``, the rounds that fit, the rounds with no
+speed sample (``unsampled_rounds``: a speed factor of exactly 1.0, so a
+round shorter than the sampling period of ``perfbench/pace.py`` reads raw
+wall time), and whether both sides of every pair produced the same report
+digest.
 
 Each run lasts ``run_seconds`` of ``BENCHMARK.json``, and the workloads are
 the ones it lists.
@@ -52,8 +55,8 @@ def summarize(pairs: list, end_to_end: list) -> dict:
 
     ``pairs`` holds one dict per pair: ``seed``, ``first`` (the side that
     ran first) and, per side, the run: ``correct``, ``failed``,
-    ``attempted``, ``metrics`` (name -> {"value", "unit"}), ``rounds`` and
-    ``digest``.  ``end_to_end`` is the ``BENCHMARK.json`` list of metrics
+    ``attempted``, ``metrics`` (name -> {"value", "unit"}), ``rounds``,
+    ``unsampled_rounds`` and ``digest``.  ``end_to_end`` is the ``BENCHMARK.json`` list of metrics
     with their ``name`` and ``better``.
     """
     runs = {side: [p[side] for p in pairs] for side in SIDES}
@@ -66,6 +69,9 @@ def summarize(pairs: list, end_to_end: list) -> dict:
             for side in SIDES
         },
         "rounds": {side: [r["rounds"] for r in runs[side]] for side in SIDES},
+        "unsampled_rounds": {
+            side: [r["unsampled_rounds"] for r in runs[side]] for side in SIDES
+        },
         "digests_equal": all(p["parent"]["digest"] == p["change"]["digest"] for p in pairs),
         "metrics": {},
     }
@@ -94,7 +100,8 @@ def summarize(pairs: list, end_to_end: list) -> dict:
 
 
 def run_perfbench(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
-    """One untraced perfbench run: its result line plus rounds and digest."""
+    """One untraced perfbench run: its result line plus, from its run
+    record, the rounds, the rounds with no speed sample and the digest."""
     cmd = [
         sys.executable, "perfbench/run.py", "--workload", workload,
         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
@@ -104,7 +111,12 @@ def run_perfbench(checkout: Path, workload: str, seed: int, seconds: int) -> dic
     record = json.loads(
         (checkout / ".perfbench_results" / f"{workload}-seed{seed}-trace0.json").read_text()
     )
-    return {**result, "rounds": len(record["rounds"]), "digest": record["digest"]}
+    return {
+        **result,
+        "rounds": len(record["rounds"]),
+        "unsampled_rounds": sum(r["factor"] == 1.0 for r in record["rounds"]),
+        "digest": record["digest"],
+    }
 
 
 def main(argv: list) -> int:
