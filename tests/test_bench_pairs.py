@@ -46,7 +46,9 @@ def _pairs(parent, change):
 
 def test_summary_counts_wins_and_spreads_each_side():
     parent = [_run(v) for v in (0.10, 0.12, 0.11, 0.13, 0.09)]
-    change = [_run(v, unsampled=u) for v, u in zip((0.08, 0.07, 0.12, 0.06, 0.05), (10, 3, 0, 10, 1))]
+    change = [
+        _run(v, unsampled=u) for v, u in zip((0.08, 0.07, 0.12, 0.06, 0.05), (10, 3, 0, 10, 1))
+    ]
     out = bench_pairs.summarize(_pairs(parent, change), END_TO_END)
     assert out["pairs"] == 5 and out["seeds"] == [100, 101, 102, 103, 104]
     assert out["first"] == ["parent", "change", "parent", "change", "parent"]

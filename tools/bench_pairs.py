@@ -56,8 +56,8 @@ def summarize(pairs: list, end_to_end: list) -> dict:
     ``pairs`` holds one dict per pair: ``seed``, ``first`` (the side that
     ran first) and, per side, the run: ``correct``, ``failed``,
     ``attempted``, ``metrics`` (name -> {"value", "unit"}), ``rounds``,
-    ``unsampled_rounds`` and ``digest``.  ``end_to_end`` is the ``BENCHMARK.json`` list of metrics
-    with their ``name`` and ``better``.
+    ``unsampled_rounds`` and ``digest``.  ``end_to_end`` is the
+    ``BENCHMARK.json`` list of metrics with their ``name`` and ``better``.
     """
     runs = {side: [p[side] for p in pairs] for side in SIDES}
     out = {
