@@ -7,7 +7,6 @@ from .liealg import GL, SP, SO, FAMILIES, LieAlgebraSpec, build_lie_algebra
 from .modules import (
     GModule,
     standard_module,
-    trivial_module,
     tensor_module,
     build_irrep,
     isotypic_decompose,

@@ -226,7 +226,7 @@ def schur_weyl_cmd(n, k, points, tau, output, expect_fail):
 @click.option("--degree-cap", default="auto", show_default=True)
 @_with_common
 def span_cmd(family, n, points, degree_cap, output, expect_fail):
-    """Current images span the commutant of the algebra action."""
+    """Current images generate the commutant of the algebra action."""
     n = _rank(family, n)
     em = _build_module(family, n, parse_points(points))
     cap = _resolve_cap(degree_cap, em.d)

@@ -50,16 +50,6 @@ class Permutation:
         images[r - 1], images[s - 1] = s, r
         return cls(images)
 
-    @classmethod
-    def from_cycles(cls, k: int, cycles) -> "Permutation":
-        images = list(range(1, k + 1))
-        for cyc in cycles:
-            for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-                if not 1 <= a <= k:
-                    raise ValueError(f"cycle entry {a} out of range 1..{k}")
-                images[a - 1] = b
-        return cls(images)
-
     @property
     def k(self) -> int:
         return len(self.images)

@@ -87,21 +87,11 @@ class IsotypicComponent:
     hwv_basis: Mat  # columns: basis of the highest weight vectors
     component_basis: Mat  # columns spanning the full isotypic component
 
-    @property
-    def irrep_dim(self) -> int:
-        return self.component_basis.cols // self.multiplicity
-
 
 def standard_module(spec: LieAlgebraSpec) -> GModule:
     acts = list(spec.basis)
     hw = (1,) + (0,) * (len(spec.cartan_indices) - 1)
     return GModule(spec, spec.matrix_size, acts, label="V", highest_weight=hw)
-
-
-def trivial_module(spec: LieAlgebraSpec) -> GModule:
-    one = Mat.zeros(1, 1)
-    hw = (0,) * len(spec.cartan_indices)
-    return GModule(spec, 1, [one] * spec.dim, label="1", highest_weight=hw)
 
 
 def _promote(a: Mat, dims: list, factor: int) -> Mat:

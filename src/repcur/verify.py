@@ -146,9 +146,8 @@ def check_ad_invariance_family(spec: LieAlgebraSpec, k: int):
 
 def _noncommuting_basis_element(op: Mat, em: EvaluationModule):
     """First basis element y with [y, op] != 0 on the module, or None."""
-    one = Poly.constant(1)
-    for y in range(em.spec.dim):
-        if not em.basis_action(y, one).commutator(op).is_zero():
+    for y, action in enumerate(em.carrier.actions):
+        if not action.commutator(op).is_zero():
             return y
     return None
 
@@ -334,26 +333,34 @@ def _slot_basis(em: EvaluationModule, cap: int) -> list:
     ]
 
 
+def _slot_images(em: EvaluationModule, thetas, cap: int):
+    """theta(P_1, ..., P_k) for each tensor of ``thetas``, at every tuple of
+    slot-basis polynomials (``_slot_basis``) for the cap, in
+    ``itertools.product`` order."""
+    basis = _slot_basis(em, cap)
+    for th in thetas:
+        yield from current_images(th, itertools.product(basis, repeat=th.k), em)
+
+
 def fft_current_images(em: EvaluationModule, degree_cap: int):
     """Matrices of theta(P_1, ..., P_k) over the FFT generators: tensor
-    degrees k = 1..d (the number of factors) and every tuple of slot-basis
-    polynomials (``_slot_basis``) for the cap, in ``itertools.product``
-    order.  θ is multilinear, so each tensor's images span the same space
-    as its images at the monomial tuples (t^{n_1}, ..., t^{n_k}) with every
-    n_i ≤ degree_cap."""
-    basis = _slot_basis(em, degree_cap)
-    for k in range(1, em.d + 1):
-        for th in fft_tensors(em.spec, k):
-            if not th.is_zero():
-                yield from current_images(th, itertools.product(basis, repeat=k), em)
+    degrees k = 1..d (the number of factors) on the slot basis of the cap
+    (``_slot_images``).  θ is multilinear, so each tensor's images span the
+    same space as its images at the monomial tuples (t^{n_1}, ..., t^{n_k})
+    with every n_i ≤ degree_cap."""
+    thetas = (
+        th for k in range(1, em.d + 1) for th in fft_tensors(em.spec, k) if not th.is_zero()
+    )
+    return _slot_images(em, thetas, degree_cap)
 
 
-def _commutant_span(em: EvaluationModule, images, expected: int):
+def _commutant_walk(em: EvaluationModule, images, expected: int):
     """Walk ``images`` into a span seeded with the identity, stopping once
-    it reaches ``expected``, the commutant dimension.
+    it reaches ``expected``, the commutant dimension, and close what it kept.
 
-    Returns the tracker, the kept images (the identity, then each image
-    that enlarged the span) and a containment note: empty, or
+    Returns ``(direct, closure, stray)``: the dimension of the span walked;
+    the dimension of the algebra the kept images (the identity, then each
+    image that enlarged the span) generate; and a containment note, empty or
     ``"; image {at} does not commute with basis element {y}"`` for the
     first kept image that leaves the commutant, ``at`` indexing ``images``.
     Every kept image is checked, so the stop is sound: kept images inside
@@ -361,7 +368,12 @@ def _commutant_span(em: EvaluationModule, images, expected: int):
     image after the stop can enlarge a span that is already the commutant.
     (That those images commute as well is the commutant lemma for
     ad-invariant tensors, which ``check_commutant`` and the ad-invariance
-    checks verify.)
+    checks verify.)  The commutant is an algebra, so such a span is its
+    own closure and no product is formed.  Otherwise the kept images are
+    closed (``algebra_closure``): a closure depends only on the span of its
+    generators, so this is the closure of every image walked, which is
+    every image unless a stray was kept and the span still reached
+    ``expected`` (then the walk stopped there).
     """
     tracker = SpanTracker(em.dim * em.dim)
     kept = [Mat.identity(em.dim)]
@@ -373,61 +385,41 @@ def _commutant_span(em: EvaluationModule, images, expected: int):
             kept_at.append(i)
         if tracker.dim == expected:
             break
+    stray = ""
     for at, img in zip(kept_at, kept[1:]):
         y = _noncommuting_basis_element(img, em)
         if y is not None:
-            return tracker, kept, f"; image {at} does not commute with basis element {y}"
-    return tracker, kept, ""
-
-
-def _commutant_closure(em: EvaluationModule, images, expected: int):
-    """Dimension of the algebra generated by ``images``, walked as in
-    ``_commutant_span``, and that walk's containment note.
-
-    Kept images inside the commutant that span ``expected`` dimensions
-    span all of it, and the commutant is an algebra, so the closure is
-    ``expected`` with no product round.  Otherwise the kept images are
-    closed: a closure depends only on the span of its generators, so this
-    is the closure of every image walked, which is every image unless a
-    stray was kept and the span still reached ``expected`` (then the walk
-    stopped there, and the value is the closure of the images up to the
-    stop).
-    """
-    tracker, kept, stray = _commutant_span(em, images, expected)
+            stray = f"; image {at} does not commute with basis element {y}"
+            break
     if tracker.dim == expected and not stray:
-        return expected, stray
-    return len(algebra_closure(kept, em.dim)), stray
+        return expected, expected, stray
+    return tracker.dim, len(algebra_closure(kept, em.dim)), stray
 
 
 @_check("span_surjectivity")
 def check_span_surjectivity(em: EvaluationModule, degree_cap=None):
-    """Images of the FFT currents span the full g-commutant of the module.
+    """Images of the FFT currents generate the full g-commutant of the module.
 
     The direct enumeration (``fft_current_images``, on the slot basis of
     the cap) stops at tensor degree d (number of factors), and earlier,
     at the first image that brings the span to the commutant dimension
-    (``_commutant_span``); when the whole enumeration falls short, one
-    round of pairwise products of the kept images is added, which stops
-    at the same bound.  Products of current images are themselves current
-    images, of the decomposable invariant tensors of twice the degree, so
-    the extended set still consists of FFT-current images only.
-    Containment is checked too: every kept image must commute with each
-    basis action, and the kept images span every image built and their
-    products.  The ``image {at}`` of a containment failure indexes that
-    enumeration.
+    (``_commutant_walk``); when the whole enumeration falls short, or a
+    kept image strays, the kept images are closed under products
+    (``algebra_closure``).  A
+    product of current images is itself a current image, of the
+    decomposable invariant tensor of the summed degree, so the closure
+    still consists of FFT-current images only.  Containment is checked
+    too: every kept image must commute with each basis action, and the
+    kept images span every image built.  The ``image {at}`` of a
+    containment failure indexes that enumeration; ``direct_span`` is the
+    dimension of the linear span and ``product_extended`` says whether the
+    closure exceeds it.
     """
     cap = _default_cap(em, degree_cap)
     if not em.has_distinct_points():
         raise ValueError("span check requires pairwise distinct points")
     expected = commutant_dimension(em.carrier)
-    tracker, kept, stray = _commutant_span(em, fft_current_images(em, cap), expected)
-    direct = tracker.dim
-    if direct < expected:
-        # products of a spanning subset reach every pairwise product
-        for a, b in itertools.product(kept, repeat=2):
-            if tracker.add(a * b) and tracker.dim == expected:
-                break
-    actual = tracker.dim
+    direct, actual, stray = _commutant_walk(em, fft_current_images(em, cap), expected)
     params = {
         **_describe(em, "family", "n", "d", "points"),
         "degree_cap": cap,
@@ -486,13 +478,11 @@ def check_cycle_generation(em: EvaluationModule, degree_cap=None):
     """The cycle currents alone generate the commutant algebra (gl only).
 
     The full closure is generated by the cycle images on the slot basis of
-    the cap (``_slot_basis``), which span the same space as the images at
-    all monomial degree tuples.  They are walked as in the span check
-    (``_commutant_closure``): the walk stops once their linear span reaches
-    the commutant dimension, and every kept image must commute with each
-    basis action.  Kept images that span the commutant close to it with no
-    product round; otherwise the kept images are closed, which gives the
-    closure of all of them.  Also records, informationally, the closure
+    the cap (``_slot_images``), which span the same space as the images at
+    all monomial degree tuples.  They are walked and closed as in the span
+    check (``_commutant_walk``): the walk stops once their linear span
+    reaches the commutant dimension, and every kept image must commute with
+    each basis action.  Also records, informationally, the closure
     dimension of the images at the weakly increasing monomial degree
     tuples alone (``sorted_tuple_closure_dim``), built lazily and walked
     the same way, so their walk stops too; a containment note of that walk
@@ -505,12 +495,8 @@ def check_cycle_generation(em: EvaluationModule, degree_cap=None):
         raise ValueError("cycle generation requires pairwise distinct points")
     expected = commutant_dimension(em.carrier)
 
-    basis = _slot_basis(em, cap)
     thetas = [theta_sigma(Permutation.cycle(j), em.spec) for j in range(1, em.d + 1)]
-    images = itertools.chain.from_iterable(
-        current_images(th, itertools.product(basis, repeat=th.k), em) for th in thetas
-    )
-    actual, stray = _commutant_closure(em, images, expected)
+    _, actual, stray = _commutant_walk(em, _slot_images(em, thetas, cap), expected)
     monomials = [Poly.monomial(m) for m in range(cap + 1)]
     sorted_images = itertools.chain.from_iterable(  # at the weakly increasing tuples
         current_images(th, itertools.combinations_with_replacement(monomials, th.k), em)
@@ -519,7 +505,7 @@ def check_cycle_generation(em: EvaluationModule, degree_cap=None):
     params = {
         **_describe(em, "n", "d", "points"),
         "degree_cap": cap,
-        "sorted_tuple_closure_dim": _commutant_closure(em, sorted_images, expected)[0],
+        "sorted_tuple_closure_dim": _commutant_walk(em, sorted_images, expected)[1],
     }
     return params, actual == expected and not stray, expected, f"{actual}{stray}"
 

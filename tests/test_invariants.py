@@ -43,7 +43,6 @@ def test_permutation_basics():
     assert p.inverse() * p == Permutation.identity(3)
     assert Permutation.cycle(3) == p
     assert Permutation.transposition(3, 1, 3) == Permutation((3, 2, 1))
-    assert Permutation.from_cycles(4, [(1, 2), (3, 4)]) == Permutation((2, 1, 4, 3))
     with pytest.raises(ValueError):
         Permutation((1, 1, 2))
 

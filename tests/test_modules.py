@@ -18,7 +18,6 @@ from repcur.modules import (
     isotypic_decompose,
     standard_module,
     tensor_module,
-    trivial_module,
     weight_decomposition,
 )
 from repcur.poly import Poly
@@ -52,12 +51,6 @@ def test_is_dominant(gl2):
 def test_standard_module_is_a_representation(family, n):
     spec = build_lie_algebra(family, n)
     assert standard_module(spec).check_bracket_compatibility()
-
-
-def test_trivial_module(gl2):
-    t = trivial_module(gl2)
-    assert t.dim == 1
-    assert all(a.is_zero() for a in t.actions)
 
 
 def test_tensor_module_is_a_representation(gl2):
@@ -193,7 +186,7 @@ def test_isotypic_decomposition_tensor_square(gl2):
     v = standard_module(gl2)
     comps = isotypic_decompose(tensor_module([v, v]))
     assert [(c.mu, c.multiplicity) for c in comps] == [((2, 0), 1), ((1, 1), 1)]
-    assert sum(c.multiplicity * c.irrep_dim for c in comps) == 4
+    assert sum(c.component_basis.cols for c in comps) == 4
 
 
 def test_isotypic_decomposition_tensor_cube(gl2):
@@ -310,4 +303,4 @@ def test_so_isotypic_multiplicities(n, d, mults):
     v = standard_module(build_lie_algebra(SO, n))
     comps = isotypic_decompose(tensor_module([v] * d))
     assert [(c.mu, c.multiplicity) for c in comps] == mults
-    assert sum(c.multiplicity * c.irrep_dim for c in comps) == n**d
+    assert sum(c.component_basis.cols for c in comps) == n**d

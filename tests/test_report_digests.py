@@ -9,11 +9,24 @@ report_digests = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(report_digests)
 
 
-def test_prints_the_quick_digests(capsys):
-    argv = ["report_digests.py", str(_PATH.parents[1]), "--profile", "quick"]
+def _printed_digests(capsys, profile):
+    """The digests printed for seeds 0 and 3 under one profile.  The tests
+    freeze them: they change with any report, its parameter order or the
+    sweep order."""
+    argv = ["report_digests.py", str(_PATH.parents[1]), "--profile", profile]
     assert report_digests.main(argv) == 0
     lines = [line.split() for line in capsys.readouterr().out.splitlines()]
-    assert [(seed, profile) for seed, profile, _ in lines] == [("0", "quick"), ("3", "quick")]
-    # frozen: every report, its parameter order and the sweep order
-    assert lines[0][2].startswith("2bec28644d48aa57")
-    assert lines[1][2].startswith("0d792d8cb43f4b5a")
+    assert [(seed, p) for seed, p, _ in lines] == [("0", profile), ("3", profile)]
+    return [digest for _, _, digest in lines]
+
+
+def test_prints_the_quick_digests(capsys):
+    seed0, seed3 = _printed_digests(capsys, "quick")
+    assert seed0.startswith("2bec28644d48aa57")
+    assert seed3.startswith("0d792d8cb43f4b5a")
+
+
+def test_prints_the_desk_digests(capsys):
+    seed0, seed3 = _printed_digests(capsys, "desk")
+    assert seed0.startswith("fb2a2ab519e68079")
+    assert seed3.startswith("bd0e9f3a4215278b")

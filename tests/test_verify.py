@@ -229,12 +229,36 @@ def test_span_surjectivity(family, n, d, expected):
 
 def test_so4_span_misses_the_epsilon_invariant():
     """Negative control for the so(4) span claim: the Brauer (O(4)) tensors
-    miss the Hodge star on V (x) V, an SO(4) invariant, so one round of
-    products lifts the direct span 2 only to 3 of the commutant's 4."""
+    miss the Hodge star on V (x) V, an SO(4) invariant, so closing the kept
+    images lifts the direct span 2 only to 3 of the commutant's 4."""
     v = standard_module(build_lie_algebra(SO, 4))
     r = check_span_surjectivity(EvaluationModule([v, v], [Q(0), Q(1)]))
     assert r.status == "fail"
     assert (r.expected, r.actual) == ("4", "3")
+    assert r.parameters["direct_span"] == 2
+    assert r.parameters["product_extended"] is True
+
+
+@pytest.mark.parametrize(
+    "family,n,weight,status,expected,actual",
+    [
+        (SP, 1, (3,), "pass", "4", "4"),
+        (SO, 3, (2,), "pass", "5", "5"),
+        (GL, 3, (2, 1, 0), "fail", "8", "4"),
+    ],
+    ids=["sp1-V3", "so3-V2", "gl3-adjoint"],
+)
+def test_span_closes_the_images_on_non_standard_factors(
+    family, n, weight, status, expected, actual
+):
+    """On W (x) W at points 0, 1 the degree <= 2 images span only 2
+    dimensions; their closure reaches the commutant for sp(1) V(3) and
+    so(3) V(2).  gl(3) adjoint (x) adjoint stays short, at 4 of 8: its
+    tensor degree needs the bound sum |lambda_i| = 6, not d = 2."""
+    spec = build_lie_algebra(family, n)
+    w = build_irrep(spec, weight, sum(map(abs, weight)))
+    r = check_span_surjectivity(EvaluationModule([w, w], [Q(0), Q(1)]))
+    assert (r.status, r.expected, r.actual) == (status, expected, actual)
     assert r.parameters["direct_span"] == 2
     assert r.parameters["product_extended"] is True
 
