@@ -371,14 +371,16 @@ class SpanTracker:
         return not self._reduce(self._sparse(vec))
 
 
-def algebra_closure(gens, size: int) -> list:
+def algebra_closure(gens, size: int, bound: int | None = None) -> list:
     """Basis of the smallest unital matrix algebra containing ``gens``.
 
     Seeds with the identity and the generators, then repeatedly multiplies
     basis elements pairwise and re-spans until the dimension stabilizes;
     terminates because the dimension is bounded by size**2.  Returns as
-    soon as the span is all size**2 matrices, where no product can enlarge
-    it, so generators that already span them get no product round.  A
+    soon as the span holds ``bound`` matrices, a dimension the caller knows
+    the algebra cannot pass (default size**2, all matrices), so no product
+    round is spent confirming that nothing grows, and generators that
+    already span ``bound`` dimensions get no product round at all.  A
     basis longer than size**2 means the reducer kept dependent matrices,
     and raises RuntimeError instead of looping on.
     """
@@ -386,6 +388,7 @@ def algebra_closure(gens, size: int) -> list:
     for g in gens:
         if g.shape != (size, size):
             raise ValueError(f"generator of shape {g.shape}, expected square {size}")
+    bound = size * size if bound is None else bound
     tracker = SpanTracker(size * size)
     basis: list[Mat] = []
 
@@ -405,7 +408,7 @@ def algebra_closure(gens, size: int) -> list:
         snapshot = list(basis)
         for a in snapshot:
             for b in snapshot:
-                if tracker.dim == size * size:
+                if tracker.dim >= bound:
                     return basis
                 if absorb(a * b):
                     grew = True

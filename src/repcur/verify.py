@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
+import sys
 import time
 from dataclasses import dataclass
 
@@ -32,7 +33,7 @@ from .invariants import (
     theta_sigma,
 )
 from .liealg import GL, SO, SP, LieAlgebraSpec, build_lie_algebra
-from .linalg import Mat, SpanTracker, algebra_closure, rref, solve_columns
+from .linalg import Mat, SpanTracker, algebra_closure, rank, rref
 from .modules import (
     build_irrep,
     casimir_eigenvalue,
@@ -62,7 +63,8 @@ class CheckReport:
 def _check(name: str):
     """Turn a check body into a check: the body returns
     ``(params, passed, expected, actual)``; the clock runs from the call to
-    the verdict."""
+    the verdict, and the text of ``expected`` and ``actual`` is interned,
+    as in ``_texts``."""
 
     def runner(body):
         @functools.wraps(body)
@@ -73,8 +75,8 @@ def _check(name: str):
                 check_name=name,
                 parameters=params,
                 status="pass" if passed else "fail",
-                expected=str(expected),
-                actual=str(actual),
+                expected=sys.intern(str(expected)),
+                actual=sys.intern(str(actual)),
                 runtime_ms=int((time.monotonic() - t0) * 1000),
             )
 
@@ -83,13 +85,20 @@ def _check(name: str):
     return runner
 
 
+def _texts(values) -> tuple:
+    """The values as a tuple of interned strings.  Callers may keep the
+    reports of many sweeps (perfbench keeps every round's); interned text
+    is held once however many reports repeat it."""
+    return tuple(sys.intern(str(v)) for v in values)
+
+
 def _describe(em: EvaluationModule, *keys) -> dict:
     """The named parameters of an evaluation module, in the order given."""
     known = {
         "family": em.spec.family,
         "n": em.spec.n,
         "d": em.d,
-        "points": [str(p) for p in em.points],
+        "points": _texts(em.points),
         "distinct_points": em.has_distinct_points(),
     }
     return {key: known[key] for key in keys}
@@ -195,10 +204,10 @@ def check_casimir_formula(em: EvaluationModule, p: Poly, q: Poly, casimir_cache=
     spec = em.spec
     params = {
         **_describe(em, "family", "n"),
-        "weights": [str(l) for l in lams],
+        "weights": _texts(lams),
         **_describe(em, "points"),
-        "P": list(map(str, p.coeffs)),
-        "Q": list(map(str, q.coeffs)),
+        "P": _texts(p.coeffs),
+        "Q": _texts(q.coeffs),
     }
 
     w1, w2 = p(em.points[0]), p(em.points[1])
@@ -271,7 +280,7 @@ def check_schur_weyl(tau, em: EvaluationModule):
     got = transposition_preimage_matrix(tau, em)
     want = place_permutation_matrix(Permutation.transposition(k, *tau), n, k)
     return (
-        {"n": n, "k": k, "tau": list(tau), **_describe(em, "points")},
+        {"n": n, "k": k, "tau": tuple(tau), **_describe(em, "points")},
         got == want,
         f"place permutation matrix of {tuple(tau)}",
         "matches entrywise" if got == want else "differs",
@@ -333,100 +342,119 @@ def _slot_basis(em: EvaluationModule, cap: int) -> list:
     ]
 
 
-def _slot_images(em: EvaluationModule, thetas, cap: int):
-    """theta(P_1, ..., P_k) for each tensor of ``thetas``, at every tuple of
-    slot-basis polynomials (``_slot_basis``) for the cap, in
-    ``itertools.product`` order."""
+def _stages(em: EvaluationModule, tensors, tuples):
+    """Per tensor degree k = 1, ..., d (the number of factors), the images
+    of the nonzero tensors of ``tensors(spec, k)`` at the polynomial tuples
+    ``tuples(k)``; nothing is built before its stage is pulled."""
+    for k in range(1, em.d + 1):
+        thetas = (th for th in tensors(em.spec, k) if not th.is_zero())
+        yield itertools.chain.from_iterable(current_images(th, tuples(k), em) for th in thetas)
+
+
+def _fft_stages(em: EvaluationModule, cap: int):
+    """``_stages`` of the FFT tensors on every tuple of slot-basis
+    polynomials (``_slot_basis``) for the cap, in ``itertools.product``
+    order.  θ is multilinear, so each tensor's images span the same space as
+    its images at the monomial tuples (t^{n_1}, ..., t^{n_k}) with every
+    n_i ≤ cap."""
     basis = _slot_basis(em, cap)
-    for th in thetas:
-        yield from current_images(th, itertools.product(basis, repeat=th.k), em)
+    return _stages(em, fft_tensors, lambda k: itertools.product(basis, repeat=k))
 
 
-def fft_current_images(em: EvaluationModule, degree_cap: int):
-    """Matrices of theta(P_1, ..., P_k) over the FFT generators: tensor
-    degrees k = 1..d (the number of factors) on the slot basis of the cap
-    (``_slot_images``).  θ is multilinear, so each tensor's images span the
-    same space as its images at the monomial tuples (t^{n_1}, ..., t^{n_k})
-    with every n_i ≤ degree_cap."""
-    thetas = (
-        th for k in range(1, em.d + 1) for th in fft_tensors(em.spec, k) if not th.is_zero()
-    )
-    return _slot_images(em, thetas, degree_cap)
+def _hwv_frame(em: EvaluationModule):
+    """``(components, select, hwv)``: the isotypic components of the
+    carrier, the N × Σm matrix ``hwv`` of their highest-weight-vector
+    columns side by side, and a Σm × N row selector with ``select · hwv``
+    the identity.
+
+    The columns come from one kernel reduction (``isotypic_decompose``), so
+    each has a 1 in its own free index and 0 in the others: those rows of
+    ``hwv`` are the identity.  A commutant element C maps each H_μ into
+    itself, C·H = H·B, so its block B, its matrix on the columns of H, is
+    the row read-off ``select · C · H``, with no solve.
+    """
+    comps = isotypic_decompose(em.carrier)
+    hwv = Mat.from_columns([c for comp in comps for c in comp.hwv_basis.columns()], em.dim)
+    # column j -> a row of hwv that is 1 in column j and 0 elsewhere
+    unit = {next(iter(row)): i for i, row in enumerate(hwv.data) if list(row.values()) == [1]}
+    if len(unit) != hwv.cols:
+        raise RuntimeError("the highest-weight-vector columns have no identity rows")
+    return comps, Mat.from_entries(hwv.cols, em.dim, {(j, i): 1 for j, i in unit.items()}), hwv
 
 
-def _commutant_walk(em: EvaluationModule, images, expected: int):
-    """Walk ``images`` into a span seeded with the identity, stopping once
-    it reaches ``expected``, the commutant dimension, and close what it kept.
+def _generate(em: EvaluationModule, frame, stages):
+    """Walk current images tensor degree by tensor degree, in the
+    highest-weight-vector coordinates of ``frame`` (``_hwv_frame``), and
+    close what the walk kept.
+
+    Restriction to H = ⊕ H_μ maps the commutant injectively, as an algebra,
+    onto ⊕ End(H_μ), of dimension Σ m_μ², the target.  Each image's block is
+    walked into a span seeded with the identity; an image whose block
+    enlarges the span is kept, and is checked in full to commute with each
+    basis action, since restriction is an algebra map only on the
+    commutant.  After each stage of ``stages`` (one per tensor degree) the
+    kept blocks are closed (``algebra_closure``, bounded by the target), and
+    the walk stops once the closure, or within a stage the span, reaches the
+    target.  A product of current images is a current image, of the
+    decomposable tensor of the summed degree, so the closure consists of
+    current images; a closure depends only on the span of its generators,
+    so it is the closure of every image walked.
 
     Returns ``(direct, closure, stray)``: the dimension of the span walked;
-    the dimension of the algebra the kept images (the identity, then each
-    image that enlarged the span) generate; and a containment note, empty or
-    ``"; image {at} does not commute with basis element {y}"`` for the
-    first kept image that leaves the commutant, ``at`` indexing ``images``.
-    Every kept image is checked, so the stop is sound: kept images inside
-    the commutant that span ``expected`` dimensions span all of it, and no
-    image after the stop can enlarge a span that is already the commutant.
-    (That those images commute as well is the commutant lemma for
-    ad-invariant tensors, which ``check_commutant`` and the ad-invariance
-    checks verify.)  The commutant is an algebra, so such a span is its
-    own closure and no product is formed.  Otherwise the kept images are
-    closed (``algebra_closure``): a closure depends only on the span of its
-    generators, so this is the closure of every image walked, which is
-    every image unless a stray was kept and the span still reached
-    ``expected`` (then the walk stopped there).
+    a basis of the closure, as Σm × Σm blocks; and a containment note, empty
+    or ``"; image {at} does not commute with basis element {y}"`` for the
+    first kept image that leaves the commutant, ``at`` indexing the images
+    of all stages in order.  The stop is sound once every kept image is in
+    the commutant: their closure is then a subalgebra of the commutant, and
+    at the target all of it, so no later image can enlarge it.  (That the
+    images not kept commute as well is the commutant lemma for ad-invariant
+    tensors, which ``check_commutant`` and the ad-invariance checks verify.)
     """
-    tracker = SpanTracker(em.dim * em.dim)
-    kept = [Mat.identity(em.dim)]
-    tracker.add(kept[0])
-    kept_at = []
-    for i, img in enumerate(images):
-        if tracker.add(img):
-            kept.append(img)
-            kept_at.append(i)
-        if tracker.dim == expected:
+    comps, select, hwv = frame
+    target = sum(comp.multiplicity**2 for comp in comps)
+    span, kept = SpanTracker(hwv.cols**2), []  # the closure adds the identity
+    span.add(Mat.identity(hwv.cols))
+    stray, count = "", itertools.count()
+    for images in stages:
+        for img, at in zip(images, count):
+            if span.add(block := select * img * hwv):
+                kept.append(block)
+                if not stray and (y := _noncommuting_basis_element(img, em)) is not None:
+                    stray = f"; image {at} does not commute with basis element {y}"
+            if span.dim == target:
+                break
+        closure = algebra_closure(kept, hwv.cols, target)
+        if len(closure) == target:
             break
-    stray = ""
-    for at, img in zip(kept_at, kept[1:]):
-        y = _noncommuting_basis_element(img, em)
-        if y is not None:
-            stray = f"; image {at} does not commute with basis element {y}"
-            break
-    if tracker.dim == expected and not stray:
-        return expected, expected, stray
-    return tracker.dim, len(algebra_closure(kept, em.dim)), stray
+    return span.dim, closure, stray
 
 
 @_check("span_surjectivity")
 def check_span_surjectivity(em: EvaluationModule, degree_cap=None):
     """Images of the FFT currents generate the full g-commutant of the module.
 
-    The direct enumeration (``fft_current_images``, on the slot basis of
-    the cap) stops at tensor degree d (number of factors), and earlier,
-    at the first image that brings the span to the commutant dimension
-    (``_commutant_walk``); when the whole enumeration falls short, or a
-    kept image strays, the kept images are closed under products
-    (``algebra_closure``).  A
-    product of current images is itself a current image, of the
-    decomposable invariant tensor of the summed degree, so the closure
-    still consists of FFT-current images only.  Containment is checked
-    too: every kept image must commute with each basis action, and the
-    kept images span every image built.  The ``image {at}`` of a
-    containment failure indexes that enumeration; ``direct_span`` is the
-    dimension of the linear span and ``product_extended`` says whether the
-    closure exceeds it.
+    The images, on the slot basis of the cap and of tensor degree at most d
+    (the number of factors), are walked degree by degree in
+    highest-weight-vector coordinates and closed under products after each
+    degree (``_generate``), until the closure reaches Σ m_μ².  ``actual``
+    is the closure dimension and ``expected`` the commutant dimension of
+    the carrier.  Every kept image must commute with each basis action; the
+    ``image {at}`` of a containment failure indexes the images walked.
+    ``direct_span`` is the dimension of their linear span at the stop and
+    ``product_extended`` says whether the closure exceeds it.
     """
     cap = _default_cap(em, degree_cap)
     if not em.has_distinct_points():
         raise ValueError("span check requires pairwise distinct points")
     expected = commutant_dimension(em.carrier)
-    direct, actual, stray = _commutant_walk(em, fft_current_images(em, cap), expected)
+    direct, closure, stray = _generate(em, _hwv_frame(em), _fft_stages(em, cap))
     params = {
         **_describe(em, "family", "n", "d", "points"),
         "degree_cap": cap,
         "direct_span": direct,
-        "product_extended": actual != direct,
+        "product_extended": len(closure) != direct,
     }
-    return params, actual == expected and not stray, expected, f"{actual}{stray}"
+    return params, len(closure) == expected and not stray, expected, f"{len(closure)}{stray}"
 
 
 @_check("isotypic_irreducibility")
@@ -435,14 +463,12 @@ def check_isotypic_irreducibility(em: EvaluationModule, degree_cap=None):
     current images must generate the full multiplicity x multiplicity
     matrix algebra.
 
-    Each image is built once and compressed (``solve_columns``) to the
-    highest-weight-vector block of every component, which fails unless
-    the image preserves the block.  Per component only the restricted
-    images that enlarge their linear span are kept, and the walk stops once
-    every component's span is its whole matrix algebra, m² for
-    multiplicity m.  The closure depends only on the span of its
-    generators, so closing the kept images gives the dimension that
-    closing all of them would.
+    The images are walked and closed as in the span check (``_generate``),
+    and each component μ reports the dimension of the closure's diagonal
+    block on H_μ.  Projection to a block is an algebra map, so that is the
+    algebra the images restricted to H_μ generate; it is m² for
+    multiplicity m when the component passes.  A kept image outside the
+    commutant fails the check with the span check's containment note.
     """
     cap = _default_cap(em, degree_cap)
     params = {
@@ -450,43 +476,31 @@ def check_isotypic_irreducibility(em: EvaluationModule, degree_cap=None):
         "degree_cap": cap,
         **_describe(em, "distinct_points"),
     }
-    comps = isotypic_decompose(em.carrier)
-    spans = [SpanTracker(comp.multiplicity**2) for comp in comps]
-    kept = [[] for _ in comps]
-    for img in fft_current_images(em, cap):
-        for comp, span, gens in zip(comps, spans, kept):
-            block = solve_columns(comp.hwv_basis, img * comp.hwv_basis)
-            if span.add(block):
-                gens.append(block)
-        if all(span.dim == span.length for span in spans):
-            break
-    expected_bits = []
-    actual_bits = []
-    ok = True
-    for comp, gens in zip(comps, kept):
-        closure_dim = len(algebra_closure(gens, comp.multiplicity))
-        want = comp.multiplicity**2
-        expected_bits.append(f"mu={comp.mu}: {want}")
-        actual_bits.append(f"mu={comp.mu}: {closure_dim}")
-        if closure_dim != want:
-            ok = False
-    return params, ok, "; ".join(expected_bits), "; ".join(actual_bits)
+    frame = _hwv_frame(em)
+    _, closure, stray = _generate(em, frame, _fft_stages(em, cap))
+    comps = frame[0]
+    ends = list(itertools.accumulate(comp.multiplicity for comp in comps))
+    blocks = map(range, [0, *ends], ends)  # each component's rows and columns in H
+    dims = [rank(Mat([[b[i, j] for i in r for j in r] for b in closure])) for r in blocks]
+    ok = not stray and dims == [comp.multiplicity**2 for comp in comps]
+    expected = "; ".join(f"mu={comp.mu}: {comp.multiplicity**2}" for comp in comps)
+    actual = "; ".join(f"mu={comp.mu}: {dim}" for comp, dim in zip(comps, dims))
+    return params, ok, expected, actual + stray
 
 
 @_check("cycle_generation")
 def check_cycle_generation(em: EvaluationModule, degree_cap=None):
     """The cycle currents alone generate the commutant algebra (gl only).
 
-    The full closure is generated by the cycle images on the slot basis of
-    the cap (``_slot_images``), which span the same space as the images at
-    all monomial degree tuples.  They are walked and closed as in the span
-    check (``_commutant_walk``): the walk stops once their linear span
-    reaches the commutant dimension, and every kept image must commute with
-    each basis action.  Also records, informationally, the closure
-    dimension of the images at the weakly increasing monomial degree
-    tuples alone (``sorted_tuple_closure_dim``), built lazily and walked
-    the same way, so their walk stops too; a containment note of that walk
-    only means its kept images are closed, and never changes the verdict.
+    The cycle images on the slot basis of the cap span the same space as
+    the images at all monomial degree tuples.  They are walked and closed as
+    in the span check (``_generate``), grouped by cycle length, which is
+    their tensor degree: the walk stops once the closure reaches the
+    commutant, and every kept image must commute with each basis action.
+    Also records, informationally, the closure dimension of the images at
+    the weakly increasing monomial degree tuples alone
+    (``sorted_tuple_closure_dim``), built lazily and walked the same way;
+    a containment note of that walk never changes the verdict.
     """
     if em.spec.family != GL:
         raise ValueError("cycle generation is a gl-family check")
@@ -494,20 +508,21 @@ def check_cycle_generation(em: EvaluationModule, degree_cap=None):
     if not em.has_distinct_points():
         raise ValueError("cycle generation requires pairwise distinct points")
     expected = commutant_dimension(em.carrier)
-
-    thetas = [theta_sigma(Permutation.cycle(j), em.spec) for j in range(1, em.d + 1)]
-    _, actual, stray = _commutant_walk(em, _slot_images(em, thetas, cap), expected)
+    frame = _hwv_frame(em)
+    cycle = functools.cache(lambda spec, k: [theta_sigma(Permutation.cycle(k), spec)])
+    basis = _slot_basis(em, cap)
+    slot_stages = _stages(em, cycle, lambda k: itertools.product(basis, repeat=k))
+    _, closure, stray = _generate(em, frame, slot_stages)
     monomials = [Poly.monomial(m) for m in range(cap + 1)]
-    sorted_images = itertools.chain.from_iterable(  # at the weakly increasing tuples
-        current_images(th, itertools.combinations_with_replacement(monomials, th.k), em)
-        for th in thetas
+    sorted_stages = _stages(  # at the weakly increasing tuples
+        em, cycle, lambda k: itertools.combinations_with_replacement(monomials, k)
     )
     params = {
         **_describe(em, "n", "d", "points"),
         "degree_cap": cap,
-        "sorted_tuple_closure_dim": _commutant_walk(em, sorted_images, expected)[1],
+        "sorted_tuple_closure_dim": len(_generate(em, frame, sorted_stages)[1]),
     }
-    return params, actual == expected and not stray, expected, f"{actual}{stray}"
+    return params, len(closure) == expected and not stray, expected, f"{len(closure)}{stray}"
 
 
 def evaluation_commutant_dimension(em: EvaluationModule, degree_cap=None) -> int:

@@ -145,7 +145,7 @@ QUICK_DIGEST = "e80f49b24766cac48a4866f8378b3513d4522e2abae3a01c1ad9eb56c8dee6a5
 
 # sha256 of _stable(run_acceptance_suite(0, "desk")): unlike quick, desk
 # covers gl(3), so(4) and the d = 3 spans
-DESK_DIGEST = "ae35fb88e8955401cc13a6d1115dd47cc27d848d0001295ea2df42c3a216d799"
+DESK_DIGEST = "87b1bdd8592a65b290728e9bd123477bf8f5793674a5ab3faa74e6dbc7c46576"
 
 
 @pytest.fixture(scope="session")

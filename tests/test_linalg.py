@@ -138,7 +138,8 @@ def test_algebra_closure_full_matrix_algebra():
     assert len(algebra_closure([e12, e21], 2)) == 4
 
 
-def test_algebra_closure_stops_once_every_matrix_is_spanned(monkeypatch):
+def _counting_products(monkeypatch):
+    """Patch the matrix product to record its operands."""
     products = []
     mul = Mat.__mul__
 
@@ -147,6 +148,11 @@ def test_algebra_closure_stops_once_every_matrix_is_spanned(monkeypatch):
         return mul(a, b)
 
     monkeypatch.setattr(Mat, "__mul__", counting)
+    return products
+
+
+def test_algebra_closure_stops_once_every_matrix_is_spanned(monkeypatch):
+    products = _counting_products(monkeypatch)
     e11 = mat([[1, 0], [0, 0]])
     e12 = mat([[0, 1], [0, 0]])
     e21 = mat([[0, 0], [1, 0]])
@@ -156,6 +162,19 @@ def test_algebra_closure_stops_once_every_matrix_is_spanned(monkeypatch):
     # over I, E_12, E_21 the sixth product, E_12 E_21 = E_11, fills the span
     assert len(algebra_closure([e12, e21], 2)) == 4
     assert len(products) == 6
+
+
+def test_algebra_closure_returns_at_the_bound(monkeypatch):
+    products = _counting_products(monkeypatch)
+    # E_12, E_21, E_34 and E_43 generate the block-diagonal M_2 + M_2, of dimension 8
+    gens = [Mat.from_entries(4, 4, {ij: 1}) for ij in [(0, 1), (1, 0), (2, 3), (3, 2)]]
+    # the span of I and the four generators reaches 8 within the first
+    # round of 5 x 5 products; without a bound an 8 x 8 round confirms it
+    unbounded = algebra_closure(gens, 4)
+    assert len(unbounded) == 8 and len(products) == 5**2 + 8**2
+    products.clear()
+    assert algebra_closure(gens, 4, 8) == unbounded
+    assert 0 < len(products) <= 5**2
 
 
 def test_algebra_closure_commutative_case():

@@ -14,14 +14,14 @@ from repcur.currents import (
 from repcur.invariants import (
     Permutation,
     casimir_tensor,
+    fft_tensors,
     theta_sigma,
 )
 from repcur.liealg import GL, SO, SP, build_lie_algebra
-from repcur.linalg import Mat, SpanTracker, rank, solve_columns
+from repcur.linalg import Mat, rank, solve_columns
 from repcur.modules import (
     build_irrep,
     commutant_dimension,
-    isotypic_decompose,
     standard_module,
 )
 from repcur.poly import Poly
@@ -263,11 +263,64 @@ def test_span_closes_the_images_on_non_standard_factors(
     assert r.parameters["product_extended"] is True
 
 
+def _inject_in_front(monkeypatch, bogus, only=object):
+    """Patch the image builder to yield ``bogus`` in front of the images of
+    every tensor whose tuples are an ``only``."""
+    images = verify.current_images
+
+    def injecting(theta, tuples, em):
+        if isinstance(tuples, only):
+            yield bogus
+        yield from images(theta, tuples, em)
+
+    monkeypatch.setattr(verify, "current_images", injecting)
+
+
+@pytest.mark.parametrize(
+    "family,n,expected", [(SO, 3, 15), (SP, 2, 14)], ids=["so3", "sp2"]
+)
+def test_span_closes_beyond_the_desk_grid_at_degree_two(family, n, expected, monkeypatch):
+    """The so(3) and sp(2) images of degree at most 2 span only part of the
+    commutant of V (x) V (x) V; their closure fills it, so no degree-3
+    image is built."""
+    v = standard_module(build_lie_algebra(family, n))
+    degrees = _recording_degrees(monkeypatch)
+    r = check_span_surjectivity(EvaluationModule([v] * 3, [Q(0), Q(1), Q(2)]))
+    assert (r.status, r.expected, r.actual) == ("pass", str(expected), str(expected))
+    assert r.parameters["product_extended"]
+    assert max(degrees) == 2
+
+
+@pytest.mark.parametrize(
+    "family,n", [(GL, 2), (SP, 1), (SO, 3)], ids=["gl2", "sp1", "so3"]
+)
+def test_hwv_frame_reads_blocks_off_rows(family, n, monkeypatch):
+    """The selected rows of the highest-weight-vector columns are the
+    identity, and the row read-off of each kept image is its block, the
+    solution of H X = C H."""
+    v = standard_module(build_lie_algebra(family, n))
+    em = EvaluationModule([v] * 3, [Q(0), Q(1), Q(2)])
+    _, select, hwv = verify._hwv_frame(em)
+    assert select * hwv == Mat.identity(hwv.cols)
+    kept = []
+    noncommuting = verify._noncommuting_basis_element
+
+    def recording(op, em):
+        kept.append(op)
+        return noncommuting(op, em)
+
+    monkeypatch.setattr(verify, "_noncommuting_basis_element", recording)
+    assert check_span_surjectivity(em).passed
+    assert kept
+    for img in kept:
+        assert select * img * hwv == solve_columns(hwv, img * hwv)
+
+
 def test_span_check_rejects_image_outside_commutant(em2, monkeypatch):
-    # the identity plus one non-commuting matrix span 2 dimensions, the
-    # commutant dimension of V (x) V, so only containment can catch it
-    bogus = Mat.from_entries(em2.dim, em2.dim, {(0, 1): Q(1)})
-    monkeypatch.setattr(verify, "fft_current_images", lambda em, cap: iter([bogus]))
+    # the blocks of the identity and of one non-commuting matrix span 2
+    # dimensions, the commutant dimension of V (x) V, so only containment
+    # can catch it
+    _inject_in_front(monkeypatch, Mat.from_entries(em2.dim, em2.dim, {(0, 1): Q(1)}))
     r = check_span_surjectivity(em2)
     assert r.status == "fail"
     assert r.expected == "2"
@@ -285,6 +338,19 @@ def test_isotypic_irreducibility(em3):
     r = check_isotypic_irreducibility(em3)
     assert r.passed
     assert "mu=(2, 1): 4" in r.actual
+
+
+def test_burnside_check_rejects_image_outside_commutant(em2, monkeypatch):
+    # the identity's block already fills both 1 x 1 blocks, and with the
+    # non-commuting matrix's block it spans the 2 dimensions of the block
+    # algebra, so only containment can catch it; the check fails, not raises
+    _inject_in_front(monkeypatch, Mat.from_entries(em2.dim, em2.dim, {(0, 1): Q(1)}))
+    r = check_isotypic_irreducibility(em2)
+    assert r.status == "fail"
+    assert r.expected == "mu=(2, 0): 1; mu=(1, 1): 1"
+    assert r.actual.startswith(
+        "mu=(2, 0): 1; mu=(1, 1): 1; image 0 does not commute with basis element "
+    )
 
 
 def test_isotypic_irreducibility_fails_at_coincident_points(gl2):
@@ -317,7 +383,7 @@ def test_sp_isotypic_irreducibility_at_three_points():
 
 @pytest.mark.parametrize(
     "cap,status,actual,direct,extended",
-    [(0, "fail", "2", 2, False), (1, "pass", "5", 4, True), (3, "pass", "5", 5, False)],
+    [(0, "fail", "2", 2, False), (1, "pass", "5", 4, True), (3, "pass", "5", 4, True)],
 )
 def test_span_surjectivity_at_other_caps(em3, cap, status, actual, direct, extended):
     r = check_span_surjectivity(em3, cap)
@@ -394,15 +460,16 @@ def _recording_sorted_images(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "d,cap,stop,total", [(3, 2, 14, 19), (4, 3, 41, 69), (4, 1, 14, 14)]
+    "d,cap,stop,total", [(3, 2, 9, 19), (4, 3, 14, 69), (4, 1, 14, 14)]
 )
 def test_sorted_cycle_walk_pulls_a_prefix_of_the_sorted_monomial_images(
     gl2, d, cap, stop, total, monkeypatch
 ):
     """The sorted and full closure dimensions agree on every grid tried, so
     only the images themselves show which tuples the sorted walk saw: a
-    prefix of the sorted monomial images, cut where their span reaches the
-    commutant (never, at cap 1, where the walk runs to the end)."""
+    prefix of the sorted monomial images, cut after the degree whose
+    closure reaches the commutant (degree 2, or degree 4 at cap 1, where
+    the walk runs to the end)."""
     em = EvaluationModule([standard_module(gl2)] * d, [Q(i) for i in range(d)])
     pulled = _recording_sorted_images(monkeypatch)
     assert check_cycle_generation(em, cap).passed
@@ -421,26 +488,57 @@ def test_sorted_cycle_walk_pulls_a_prefix_of_the_sorted_monomial_images(
     assert pulled == sorted_images[:stop]
 
 
+def _recording_closures(monkeypatch):
+    """Patch the closure to record, per call, the number of generators and
+    the dimension of the algebra returned."""
+    fed = []
+    closure = verify.algebra_closure
+
+    def recording(gens, size, bound=None):
+        basis = closure(gens, size, bound)
+        fed.append((len(gens), len(basis)))
+        return basis
+
+    monkeypatch.setattr(verify, "algebra_closure", recording)
+    return fed
+
+
+def _recording_degrees(monkeypatch):
+    """Patch the image builder to record the tensor degree of each image."""
+    degrees = []
+    images = verify.current_images
+
+    def recording(theta, tuples, em):
+        for img in images(theta, tuples, em):
+            degrees.append(theta.k)
+            yield img
+
+    monkeypatch.setattr(verify, "current_images", recording)
+    return degrees
+
+
 @pytest.mark.parametrize(
     "d,cap,status,actual,closed",
-    [(4, 1, "pass", 14, [10, 9]), (4, 0, "fail", 3, [3, 3]), (3, 0, "fail", 2, [2, 2])],
+    [
+        (
+            4, 1, "pass", 14,
+            [(0, 1), (3, 12), (5, 12), (9, 14), (0, 1), (3, 12), (5, 12), (8, 14)],
+        ),
+        (4, 0, "fail", 3, [(0, 1), (1, 3), (1, 3), (2, 3)] * 2),
+        (3, 0, "fail", 2, [(0, 1), (1, 2), (1, 2)] * 2),
+    ],
     ids=["d4-cap1", "d4-cap0", "d3-cap0"],
 )
 def test_cycle_closures_run_when_the_walks_fall_short(
     gl2, d, cap, status, actual, closed, monkeypatch
 ):
-    """Below the commutant dimension both walks close their kept images
-    (the identity and each image that enlarged the span); at cap 1 and
-    d = 4 the sorted images span 9 dimensions and close to 14."""
+    """Both walks close their kept blocks (each block that enlarged a span
+    seeded with the identity) after every cycle length, the slot walk
+    first, and go on while the closure falls short of the commutant: at
+    cap 1 and d = 4 the closure reaches 14 only after length 4, and at
+    cap 0 never."""
     em = EvaluationModule([standard_module(gl2)] * d, [Q(i) for i in range(d)])
-    fed = []
-    closure = verify.algebra_closure
-
-    def recording_closure(gens, size):
-        fed.append(len(gens))
-        return closure(gens, size)
-
-    monkeypatch.setattr(verify, "algebra_closure", recording_closure)
+    fed = _recording_closures(monkeypatch)
     r = check_cycle_generation(em, cap)
     assert (r.status, r.actual) == (status, str(actual))
     assert r.parameters["sorted_tuple_closure_dim"] == actual
@@ -448,12 +546,15 @@ def test_cycle_closures_run_when_the_walks_fall_short(
 
 
 def test_cycle_closures_are_skipped_once_the_walks_span_the_commutant(gl2, monkeypatch):
+    """Once the closure after cycle length 2 reaches the commutant, no
+    longer cycle is built and no later closure runs, in either walk."""
     em = EvaluationModule([standard_module(gl2)] * 4, [Q(i) for i in range(4)])
-    fed = []
-    monkeypatch.setattr(verify, "algebra_closure", lambda gens, size: fed.append(gens))
+    fed = _recording_closures(monkeypatch)
+    degrees = _recording_degrees(monkeypatch)
     r = check_cycle_generation(em)
     assert r.passed and r.parameters["sorted_tuple_closure_dim"] == 14
-    assert fed == []
+    assert fed == [(0, 1), (6, 14)] * 2
+    assert max(degrees) == 2
 
 
 def test_cycle_generation_is_gl_only():
@@ -482,74 +583,46 @@ def test_evaluation_reducible_at_coincident_points(gl2):
     assert evaluation_commutant_dimension(em) == 5
 
 
-def _counting_images(monkeypatch):
-    """Patch the image enumeration to count the images pulled from it."""
-    pulled = []
-    images = verify.fft_current_images
-
-    def counting(em, cap):
-        for i, img in enumerate(images(em, cap)):
-            pulled.append(i)
-            yield img
-
-    monkeypatch.setattr(verify, "fft_current_images", counting)
-    return pulled
-
-
-def _full_at(images, length, bound, restrict=lambda img: img):
-    """1 + the index of the image that brings a span to ``bound``, or None."""
-    tracker = SpanTracker(length)
-    for i, img in enumerate(images):
-        tracker.add(restrict(img))
-        if tracker.dim == bound:
-            return i + 1
-    return None
+def _fft_image_count(em, k):
+    """The number of degree-k FFT images on the slot basis of the default cap."""
+    tensors = [th for th in fft_tensors(em.spec, k) if not th.is_zero()]
+    return len(tensors) * len(verify._slot_basis(em, em.d - 1)) ** k
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_span_walk_stops_at_the_commutant_dimension(n, monkeypatch):
+    """Degree 1 gives the identity only; the degree-2 images (the identity
+    and the three transpositions, among others) span 4 dimensions and close
+    to the commutant, so the walk takes every image of degree at most 2 and
+    stops before degree 3."""
     v = standard_module(build_lie_algebra(GL, n))
     em = EvaluationModule([v] * 3, [Q(0), Q(1), Q(2)])
-    images = list(verify.fft_current_images(em, 2))
-    identity = Mat.identity(em.dim)
-    stop = _full_at([identity] + images, em.dim**2, commutant_dimension(em.carrier)) - 1
-    pulled = _counting_images(monkeypatch)
+    degrees = _recording_degrees(monkeypatch)
     r = check_span_surjectivity(em)
-    assert r.passed and not r.parameters["product_extended"]
-    assert len(pulled) == stop < len(images)  # 108 (gl(2)) and 110 (gl(3)) of 183
+    assert (r.status, r.actual) == ("pass", str(commutant_dimension(em.carrier)))
+    assert r.parameters["direct_span"] == 4 and r.parameters["product_extended"]
+    assert degrees == [1] * _fft_image_count(em, 1) + [2] * _fft_image_count(em, 2)
 
 
 def test_burnside_walk_stops_once_every_block_is_full(em3, gl2, monkeypatch):
-    images = list(verify.fft_current_images(em3, 2))
-    (top, pair) = isotypic_decompose(em3.carrier)
-    assert (top.multiplicity, pair.multiplicity) == (1, 2)
-    hwv = pair.hwv_basis
-    stop = _full_at(images, 4, 4, lambda img: solve_columns(hwv, img * hwv))
-    pulled = _counting_images(monkeypatch)
+    degrees = _recording_degrees(monkeypatch)
     r = check_isotypic_irreducibility(em3)
     assert r.actual == "mu=(3, 0): 1; mu=(2, 1): 4"
-    assert len(pulled) == stop < len(images)  # 108 of 183
+    assert max(degrees) == 2
     # the coincident-point control never fills mu=(2, 1): it walks every
-    # image and still fails
+    # degree and still fails
     v = standard_module(gl2)
     coincident = EvaluationModule([v] * 3, [Q(0)] * 3)
-    pulled.clear()
+    degrees.clear()
     r = check_isotypic_irreducibility(coincident)
     assert r.status == "fail"
-    assert len(pulled) == len(list(verify.fft_current_images(coincident, 2)))
+    assert degrees == [k for k in (1, 2, 3) for _ in range(_fft_image_count(coincident, k))]
 
 
 def test_cycle_check_rejects_image_outside_commutant(em3, monkeypatch):
     # a non-commuting matrix put in front of every cycle tensor's images:
     # only the containment scan of the kept images can catch it
-    bogus = Mat.from_entries(em3.dim, em3.dim, {(0, 1): Q(1)})
-    images = verify.current_images
-
-    def injecting(theta, tuples, em):
-        yield bogus
-        yield from images(theta, tuples, em)
-
-    monkeypatch.setattr(verify, "current_images", injecting)
+    _inject_in_front(monkeypatch, Mat.from_entries(em3.dim, em3.dim, {(0, 1): Q(1)}))
     r = check_cycle_generation(em3)
     assert r.status == "fail"
     assert "; image 0 does not commute with basis element " in r.actual
@@ -557,19 +630,12 @@ def test_cycle_check_rejects_image_outside_commutant(em3, monkeypatch):
 
 def test_sorted_walk_stray_leaves_the_verdict_alone(em3, monkeypatch):
     # a non-commuting matrix in front of every sorted image stream only: the
-    # sorted walk closes its kept images, bogus included, and reports that
-    # dimension, while the verdict and actual stay those of the main walk;
-    # the span still reaches the commutant dimension, so the walk stops there
-    # and 8 is the closure of the sorted images up to the stop, not of all
+    # sorted walk keeps its block, and the verdict and actual stay those of
+    # the slot walk; with that block the span reaches the target 5 within
+    # cycle length 2, so the sorted walk stops there, and 5 is a span cut
+    # at the target, not the algebra the stray block generates
     bogus = Mat.from_entries(em3.dim, em3.dim, {(0, 1): Q(1)})
-    images = verify.current_images
-
-    def injecting(theta, tuples, em):
-        if isinstance(tuples, itertools.combinations_with_replacement):
-            yield bogus
-        yield from images(theta, tuples, em)
-
-    monkeypatch.setattr(verify, "current_images", injecting)
+    _inject_in_front(monkeypatch, bogus, itertools.combinations_with_replacement)
     r = check_cycle_generation(em3)
     assert (r.status, r.actual) == ("pass", "5")
-    assert r.parameters["sorted_tuple_closure_dim"] == 8
+    assert r.parameters["sorted_tuple_closure_dim"] == 5
