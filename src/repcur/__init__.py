@@ -16,11 +16,7 @@ from .modules import (
 )
 from .currents import (
     InvariantTensor,
-    CurrentOperator,
     EvaluationModule,
-    evaluation_action,
-    theta_operator,
-    current_operator_matrix,
     invariant_operator_matrix,
 )
 from .invariants import (

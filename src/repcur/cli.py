@@ -1,14 +1,15 @@
 """Command-line front end: run any verification check and emit JSON.
 
 Exit status is 0 when every requested check passes, 1 when any fails, and
-2 when the input is rejected.  The parsers here only split the option
-strings; the library validates the input once, and every ValueError
-raised while a command runs (a malformed number, repeated points, wrong
-point, weight or polynomial counts, weights that are not dominant, a
-carrier over the REPCUR_MAX_DIM cap) becomes a usage error.  A library
-fault is a RuntimeError and keeps its traceback.  --expect-fail inverts
-the 0/1 outcome for negative controls.  All numeric output is exact;
-rationals are rendered as "a/b" strings.
+2 when the input is rejected.  An --output path that cannot be opened
+for writing is rejected before any check runs.  The parsers here only
+split the option strings; the library validates the input once, and
+every ValueError raised while a command runs (a malformed number,
+repeated points, wrong point, weight or polynomial counts, weights that
+are not dominant, a carrier over the REPCUR_MAX_DIM cap) becomes a usage
+error.  A library fault is a RuntimeError and keeps its traceback.
+--expect-fail inverts the 0/1 outcome for negative controls.  All numeric
+output is exact; rationals are rendered as "a/b" strings.
 """
 
 from __future__ import annotations
@@ -79,12 +80,7 @@ def _emit(reports, config, output, expect_fail: bool):
         "config": config,
         "checks": [dataclasses.asdict(r) for r in reports],
     }
-    text = json.dumps(payload, indent=2, default=str)
-    if output in (None, "-"):
-        click.echo(text)
-    else:
-        with open(output, "w") as fh:
-            fh.write(text + "\n")
+    click.echo(json.dumps(payload, indent=2, default=str), file=output)
     sys.exit(0 if all(r.passed for r in reports) != expect_fail else 1)
 
 
@@ -112,7 +108,10 @@ def _rank(family: str, n):
 
 
 _common = [
-    click.option("--output", "-o", default=None, help="Write JSON here ('-' = stdout)."),
+    # opened while the options are parsed: a path that cannot be written is
+    # a usage error before any check runs
+    click.option("--output", "-o", type=click.File("w", lazy=False), default="-",
+                 help="Write JSON here ('-' = stdout)."),
     click.option(
         "--expect-fail",
         is_flag=True,

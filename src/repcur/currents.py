@@ -1,19 +1,18 @@
-"""Evaluation modules of g[t] and the current-operator calculus.
+"""Evaluation modules of g[t] and the matrices of invariant currents.
 
 An evaluation module attaches a point p_i to each tensor factor; x(P) acts
 on the i-th factor scaled by P(p_i).  Invariant tensors give elements
 θ(P_1,...,P_k) of the enveloping algebra whose matrices on an evaluation
 module are assembled here: ``current_images`` builds them for a sequence
 of polynomial tuples in one pass that multiplies each shared word prefix
-once, reusing the prefix a tuple shares with the one before it, and
-``current_operator_matrix`` of ``theta_operator`` is the monomial
-expansion kept as the independent reference.  Operator words compose with the rightmost factor applying
-first (the standard left-module convention).
+once, reusing the prefix a tuple shares with the one before it.  Operator
+words compose with the rightmost factor applying first (the standard
+left-module convention).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .liealg import LieAlgebraSpec
 from .linalg import Mat, lincomb
@@ -42,29 +41,8 @@ class InvariantTensor:
             self.k, tuple((c * a, idx) for a, idx in self.terms if c * a)
         )
 
-    def __add__(self, other: "InvariantTensor") -> "InvariantTensor":
-        if self.k != other.k:
-            raise ValueError("tensor degree mismatch")
-        acc = {}
-        for c, idx in self.terms + other.terms:
-            acc[idx] = acc.get(idx, 0) + c
-        return InvariantTensor.from_dict(self.k, acc)
-
     def is_zero(self) -> bool:
         return not self.terms
-
-
-@dataclass(frozen=True)
-class CurrentOperator:
-    """Formal sum of words in degree-tagged generators x(t^m)."""
-
-    terms: tuple  # ((coeff, ((basis_index, degree), ...)), ...)
-
-    def __post_init__(self):
-        for _, word in self.terms:
-            for _, m in word:
-                if m < 0:
-                    raise ValueError("current degrees must be non-negative")
 
 
 class EvaluationModule:
@@ -118,64 +96,6 @@ class EvaluationModule:
         )
         self._poly_cache[key] = out
         return out
-
-
-def evaluation_action(x, poly: Poly, em: EvaluationModule) -> Mat:
-    """Matrix of x(P) on the evaluation module.
-
-    x may be a basis index, a coordinate vector, or a matrix in the span of
-    the spec basis.  Linear in both x and P.
-    """
-    if isinstance(x, int):
-        return em.basis_action(x, poly)
-    if isinstance(x, Mat):
-        coords = em.spec.coords(x)
-    else:
-        coords = list(x)
-    return lincomb(
-        ((c, em.basis_action(i, poly)) for i, c in enumerate(coords) if c), em.dim, em.dim
-    )
-
-
-def theta_operator(theta: InvariantTensor, polys: list) -> CurrentOperator:
-    """Multilinear expansion of θ(P_1,...,P_k) into degree-tagged words."""
-    if len(polys) != theta.k:
-        raise ValueError(
-            f"arity mismatch: tensor degree {theta.k}, got {len(polys)} polynomials"
-        )
-    monomials = [list(p.monomials()) for p in polys]
-    out = []
-    for coeff, indices in theta.terms:
-        choices = [(coeff, ())]
-        for j, idx in enumerate(indices):
-            nxt = []
-            for c, word in choices:
-                for m, cm in monomials[j]:
-                    nxt.append((c * cm, word + ((idx, m),)))
-            choices = nxt
-        out.extend(choices)
-    return CurrentOperator(tuple(out))
-
-
-def current_operator_matrix(op: CurrentOperator, em: EvaluationModule) -> Mat:
-    """Σ_terms coeff · M_1 M_2 ... M_k, rightmost factor applying first."""
-    return lincomb(
-        (
-            (coeff, _word_matrix([(idx, Poly.monomial(deg)) for idx, deg in word], em))
-            for coeff, word in op.terms
-        ),
-        em.dim,
-        em.dim,
-    )
-
-
-def _word_matrix(word, em: EvaluationModule) -> Mat:
-    """M_1 M_2 ... M_k for a word of (basis index, polynomial) letters."""
-    m = None
-    for idx, poly in word:
-        step = em.basis_action(idx, poly)
-        m = step if m is None else m * step
-    return Mat.identity(em.dim) if m is None else m
 
 
 def _prefix_levels(theta: InvariantTensor) -> list:
@@ -267,10 +187,5 @@ def current_images(theta: InvariantTensor, tuples, em: EvaluationModule):
 def invariant_operator_matrix(
     theta: InvariantTensor, polys: list, em: EvaluationModule
 ) -> Mat:
-    """Matrix of θ(P_1,...,P_k): the single-tuple case of ``current_images``.
-
-    Equal to current_operator_matrix(theta_operator(theta, polys), em) by
-    linearity of the evaluation action in each polynomial, without the
-    monomial expansion.
-    """
+    """Matrix of θ(P_1,...,P_k): the single-tuple case of ``current_images``."""
     return next(current_images(theta, [polys], em))

@@ -58,26 +58,11 @@ class GModule:
     spec: LieAlgebraSpec
     dim: int
     actions: list
-    label: str = ""
     highest_weight: tuple | None = None
 
     def action_of(self, coords) -> Mat:
         """Action of the element with the given basis coordinates."""
         return lincomb(zip(coords, self.actions), self.dim, self.dim)
-
-    def check_bracket_compatibility(self) -> bool:
-        """action([x,y]) == [action(x), action(y)] on all basis pairs."""
-        d = self.spec.dim
-        for i in range(d):
-            for j in range(d):
-                lhs = lincomb(
-                    ((c, self.actions[k]) for k, c in self.spec.bracket[(i, j)].items()),
-                    self.dim,
-                    self.dim,
-                )
-                if lhs != self.actions[i].commutator(self.actions[j]):
-                    return False
-        return True
 
 
 @dataclass
@@ -91,7 +76,7 @@ class IsotypicComponent:
 def standard_module(spec: LieAlgebraSpec) -> GModule:
     acts = list(spec.basis)
     hw = (1,) + (0,) * (len(spec.cartan_indices) - 1)
-    return GModule(spec, spec.matrix_size, acts, label="V", highest_weight=hw)
+    return GModule(spec, spec.matrix_size, acts, highest_weight=hw)
 
 
 def _promote(a: Mat, dims: list, factor: int) -> Mat:
@@ -120,7 +105,7 @@ def _capped_dimension(dims) -> int:
     product stops at the first factor over the cap: a long product is slow
     and unprintable."""
     raw = os.environ.get(MAX_DIM_ENV, str(DEFAULT_MAX_DIM)).strip()
-    if not raw.isdigit():
+    if not raw.isdecimal():
         raise ValueError(f"{MAX_DIM_ENV} must be a non-negative integer, got {raw!r}")
     limit = int(raw)
     dims = iter(dims)
@@ -150,15 +135,11 @@ def tensor_module(factors: list) -> GModule:
             raise ValueError("tensor factors over different Lie algebras")
     dims = [f.dim for f in factors]
     total = _capped_dimension(dims)
-    if len(factors) == 1:
-        f = factors[0]
-        return GModule(spec, f.dim, list(f.actions), f.label)
     actions = [
         lincomb(((ONE, _promote(f.actions[b], dims, i)) for i, f in enumerate(factors)), total, total)
         for b in range(spec.dim)
     ]
-    label = "⊗".join(f.label or "?" for f in factors)
-    return GModule(spec, total, actions, label)
+    return GModule(spec, total, actions)
 
 
 def _carrier_weights(module: GModule) -> list:
@@ -250,7 +231,7 @@ def build_irrep(spec: LieAlgebraSpec, lam: Weight, m: int) -> GModule:
     if sum(map(abs, lam)) > m:
         raise ValueError(f"weight {lam} cannot occur in tensor degree {m}")
     if m == 0:
-        return GModule(spec, 1, [Mat.zeros(1, 1) for _ in spec.basis], "V(0)", lam)
+        return GModule(spec, 1, [Mat.zeros(1, 1) for _ in spec.basis], highest_weight=lam)
 
     _capped_dimension(itertools.repeat(spec.matrix_size, m))
     ambient = tensor_module([standard_module(spec)] * m)
@@ -266,7 +247,7 @@ def build_irrep(spec: LieAlgebraSpec, lam: Weight, m: int) -> GModule:
     basis_cols = _lowering_closure(ambient, Mat.from_columns([hwv], ambient.dim))
     # each action restricted to the invariant subspace spanned by basis_cols
     actions = [solve_columns(basis_cols, a * basis_cols) for a in ambient.actions]
-    return GModule(spec, basis_cols.cols, actions, f"V{lam}", lam)
+    return GModule(spec, basis_cols.cols, actions, highest_weight=lam)
 
 
 def isotypic_decompose(module: GModule):

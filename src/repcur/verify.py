@@ -342,23 +342,20 @@ def _slot_basis(em: EvaluationModule, cap: int) -> list:
     ]
 
 
-def _stages(em: EvaluationModule, tensors, tuples):
+def _slot_stages(em: EvaluationModule, tensors, cap: int):
     """Per tensor degree k = 1, ..., d (the number of factors), the images
-    of the nonzero tensors of ``tensors(spec, k)`` at the polynomial tuples
-    ``tuples(k)``; nothing is built before its stage is pulled."""
-    for k in range(1, em.d + 1):
-        thetas = (th for th in tensors(em.spec, k) if not th.is_zero())
-        yield itertools.chain.from_iterable(current_images(th, tuples(k), em) for th in thetas)
-
-
-def _fft_stages(em: EvaluationModule, cap: int):
-    """``_stages`` of the FFT tensors on every tuple of slot-basis
-    polynomials (``_slot_basis``) for the cap, in ``itertools.product``
-    order.  θ is multilinear, so each tensor's images span the same space as
-    its images at the monomial tuples (t^{n_1}, ..., t^{n_k}) with every
+    of the nonzero tensors of ``tensors(spec, k)`` on every tuple of
+    slot-basis polynomials (``_slot_basis``) for the cap, in
+    ``itertools.product`` order; nothing is built before its stage is
+    pulled.  θ is multilinear, so each tensor's images span the same space
+    as its images at the monomial tuples (t^{n_1}, ..., t^{n_k}) with every
     n_i ≤ cap."""
     basis = _slot_basis(em, cap)
-    return _stages(em, fft_tensors, lambda k: itertools.product(basis, repeat=k))
+    for k in range(1, em.d + 1):
+        thetas = (th for th in tensors(em.spec, k) if not th.is_zero())
+        yield itertools.chain.from_iterable(
+            current_images(th, itertools.product(basis, repeat=k), em) for th in thetas
+        )
 
 
 def _hwv_frame(em: EvaluationModule):
@@ -447,7 +444,7 @@ def check_span_surjectivity(em: EvaluationModule, degree_cap=None):
     if not em.has_distinct_points():
         raise ValueError("span check requires pairwise distinct points")
     expected = commutant_dimension(em.carrier)
-    direct, closure, stray = _generate(em, _hwv_frame(em), _fft_stages(em, cap))
+    direct, closure, stray = _generate(em, _hwv_frame(em), _slot_stages(em, fft_tensors, cap))
     params = {
         **_describe(em, "family", "n", "d", "points"),
         "degree_cap": cap,
@@ -477,7 +474,7 @@ def check_isotypic_irreducibility(em: EvaluationModule, degree_cap=None):
         **_describe(em, "distinct_points"),
     }
     frame = _hwv_frame(em)
-    _, closure, stray = _generate(em, frame, _fft_stages(em, cap))
+    _, closure, stray = _generate(em, frame, _slot_stages(em, fft_tensors, cap))
     comps = frame[0]
     ends = list(itertools.accumulate(comp.multiplicity for comp in comps))
     blocks = map(range, [0, *ends], ends)  # each component's rows and columns in H
@@ -486,6 +483,11 @@ def check_isotypic_irreducibility(em: EvaluationModule, degree_cap=None):
     expected = "; ".join(f"mu={comp.mu}: {comp.multiplicity**2}" for comp in comps)
     actual = "; ".join(f"mu={comp.mu}: {dim}" for comp, dim in zip(comps, dims))
     return params, ok, expected, actual + stray
+
+
+def _cycle_tensor(spec: LieAlgebraSpec, k: int) -> list:
+    """The one cycle tensor of degree k, θ of the k-cycle, as a list."""
+    return [theta_sigma(Permutation.cycle(k), spec)]
 
 
 @_check("cycle_generation")
@@ -497,10 +499,6 @@ def check_cycle_generation(em: EvaluationModule, degree_cap=None):
     in the span check (``_generate``), grouped by cycle length, which is
     their tensor degree: the walk stops once the closure reaches the
     commutant, and every kept image must commute with each basis action.
-    Also records, informationally, the closure dimension of the images at
-    the weakly increasing monomial degree tuples alone
-    (``sorted_tuple_closure_dim``), built lazily and walked the same way;
-    a containment note of that walk never changes the verdict.
     """
     if em.spec.family != GL:
         raise ValueError("cycle generation is a gl-family check")
@@ -508,20 +506,8 @@ def check_cycle_generation(em: EvaluationModule, degree_cap=None):
     if not em.has_distinct_points():
         raise ValueError("cycle generation requires pairwise distinct points")
     expected = commutant_dimension(em.carrier)
-    frame = _hwv_frame(em)
-    cycle = functools.cache(lambda spec, k: [theta_sigma(Permutation.cycle(k), spec)])
-    basis = _slot_basis(em, cap)
-    slot_stages = _stages(em, cycle, lambda k: itertools.product(basis, repeat=k))
-    _, closure, stray = _generate(em, frame, slot_stages)
-    monomials = [Poly.monomial(m) for m in range(cap + 1)]
-    sorted_stages = _stages(  # at the weakly increasing tuples
-        em, cycle, lambda k: itertools.combinations_with_replacement(monomials, k)
-    )
-    params = {
-        **_describe(em, "n", "d", "points"),
-        "degree_cap": cap,
-        "sorted_tuple_closure_dim": len(_generate(em, frame, sorted_stages)[1]),
-    }
+    _, closure, stray = _generate(em, _hwv_frame(em), _slot_stages(em, _cycle_tensor, cap))
+    params = {**_describe(em, "n", "d", "points"), "degree_cap": cap}
     return params, len(closure) == expected and not stray, expected, f"{len(closure)}{stray}"
 
 

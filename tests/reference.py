@@ -1,0 +1,46 @@
+"""Reference constructions that the tests compare the library with.
+
+Each follows its definition directly, with no prefix sharing and no
+compiled tensor, so it does not share the code paths it checks.
+"""
+
+from repcur.linalg import Mat, lincomb
+from repcur.poly import Poly
+
+
+def reference_image(theta, polys, em) -> Mat:
+    """θ(P_1, ..., P_k) on ``em`` by its monomial expansion:
+    Σ_terms c · M_1 M_2 ... M_k, the rightmost factor applying first, where
+    M_j = Σ_m coeff_m · b_j(t^m) for the basis element b_j of slot j and
+    P_j = Σ_m coeff_m t^m.  An empty word is the identity."""
+    polys = list(polys)
+    if len(polys) != theta.k:
+        raise ValueError(f"arity mismatch: tensor degree {theta.k}, got {len(polys)} polynomials")
+    terms = []
+    for c, indices in theta.terms:
+        word = Mat.identity(em.dim)
+        for b, poly in zip(indices, polys):
+            letter = lincomb(
+                ((a, em.basis_action(b, Poly.monomial(m))) for m, a in poly.monomials()),
+                em.dim,
+                em.dim,
+            )
+            word = word * letter
+        terms.append((c, word))
+    return lincomb(terms, em.dim, em.dim)
+
+
+def check_bracket_compatibility(module) -> bool:
+    """action([x, y]) == [action(x), action(y)] on all basis pairs of a
+    g-module."""
+    d = module.spec.dim
+    for i in range(d):
+        for j in range(d):
+            lhs = lincomb(
+                ((c, module.actions[k]) for k, c in module.spec.bracket[(i, j)].items()),
+                module.dim,
+                module.dim,
+            )
+            if lhs != module.actions[i].commutator(module.actions[j]):
+                return False
+    return True

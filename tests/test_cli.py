@@ -51,6 +51,16 @@ def test_output_file(runner, tmp_path):
     assert payload["checks"][0]["check_name"] == "span_surjectivity"
 
 
+def test_unwritable_output_is_a_usage_error_before_any_check(runner, tmp_path, monkeypatch):
+    ran = []
+    monkeypatch.setattr(verify, "check_commutant", lambda *args: ran.append(args))
+    out = tmp_path / "missing" / "out.json"
+    res = invoke(runner, ["verify", "commutant", "--output", str(out)])
+    assert res.exit_code == 2
+    assert "--output" in res.output
+    assert ran == [] and not out.parent.exists()
+
+
 def test_ad_invariance_command(runner):
     res = invoke(runner, ["verify", "ad-invariance", "--family", "sp", "-n", "1",
                           "-k", "2", "-o", "-"])

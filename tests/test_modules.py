@@ -23,6 +23,8 @@ from repcur.modules import (
 from repcur.poly import Poly
 from repcur.rational import Q
 
+from reference import check_bracket_compatibility
+
 
 @pytest.fixture(scope="module")
 def gl2():
@@ -50,12 +52,18 @@ def test_is_dominant(gl2):
 @pytest.mark.parametrize("family,n", [(GL, 2), (GL, 3), (SP, 1), (SP, 2), (SO, 3)])
 def test_standard_module_is_a_representation(family, n):
     spec = build_lie_algebra(family, n)
-    assert standard_module(spec).check_bracket_compatibility()
+    assert check_bracket_compatibility(standard_module(spec))
 
 
 def test_tensor_module_is_a_representation(gl2):
     v = standard_module(gl2)
-    assert tensor_module([v, v, v]).check_bracket_compatibility()
+    assert check_bracket_compatibility(tensor_module([v, v, v]))
+
+
+def test_one_factor_tensor_module_keeps_the_factor_actions(gl2, sp2):
+    for w in [standard_module(gl2), build_irrep(gl2, (2, 1), 3), build_irrep(sp2, (2,), 2)]:
+        one = tensor_module([w])
+        assert (one.dim, one.actions) == (w.dim, w.actions)
 
 
 def test_weight_decomposition_of_tensor_square(gl2):
@@ -72,7 +80,7 @@ def test_gl2_irrep_dimensions(gl2, lam, m, dim):
     w = build_irrep(gl2, lam, m)
     assert w.dim == dim
     assert w.highest_weight == lam
-    assert w.check_bracket_compatibility()
+    assert check_bracket_compatibility(w)
 
 
 def test_sp2_irrep_dimensions(sp2):
@@ -105,7 +113,7 @@ def test_weight_decomposition_needs_a_diagonal_cartan(gl2):
     v = standard_module(gl2)
     g, g_inv = Mat([[1, 1], [0, 1]]), Mat([[1, -1], [0, 1]])
     skew = dataclasses.replace(v, actions=[g_inv * a * g for a in v.actions])
-    assert skew.check_bracket_compatibility()
+    assert check_bracket_compatibility(skew)
     with pytest.raises(ValueError, match="not diagonal"):
         weight_decomposition(skew)
 
@@ -152,9 +160,11 @@ def test_tensor_module_enforces_the_dimension_cap(gl2, monkeypatch):
     # is rejected at once and with a printable number
     with pytest.raises(ValueError, match="dimension at least 8 exceeds"):
         build_irrep(gl2, (10**5, 0), 10**5)
-    monkeypatch.setenv("REPCUR_MAX_DIM", "frogs")
-    with pytest.raises(ValueError, match="REPCUR_MAX_DIM must be a non-negative integer"):
-        tensor_module([v, v])
+    # "²" is a digit but not a decimal, and int() rejects it
+    for raw in ["frogs", "²"]:
+        monkeypatch.setenv("REPCUR_MAX_DIM", raw)
+        with pytest.raises(ValueError, match="REPCUR_MAX_DIM must be a non-negative integer"):
+            tensor_module([v, v])
 
 
 def test_build_irrep_checks_the_cap_before_allocating(gl2, monkeypatch):

@@ -1,0 +1,78 @@
+"""Every module-level function and class of the package has a caller.
+
+A definition in ``src/repcur`` must be named, as an AST ``Name`` or
+``Attribute``, in the package itself (outside ``__init__.py``, whose
+re-exports call nothing), in the benchmark (``perfbench/*.py``) or in the
+tools (``tools/*.py``).  The tests do not count: code that only a test calls
+belongs with the tests, in ``tests/reference.py``.  Nor do docstrings,
+which are strings to ``ast``.  Click commands and groups are exempt, since
+their decorator registers them.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _registered(node) -> bool:
+    """Whether a ``.command(...)`` or ``.group(...)`` decorator registers the definition."""
+    return any(
+        isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
+        and d.func.attr in ("command", "group")
+        for d in node.decorator_list
+    )
+
+
+def _names(node) -> set:
+    """The identifiers that ``node`` names as a ``Name`` or an ``Attribute``."""
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    }
+
+
+def unnamed_definitions(package: Path, users: list) -> list:
+    """``module.name`` of each module-level function or class in the
+    ``package`` directory that is named nowhere outside its own body: not
+    in the package's modules but ``__init__.py``, nor in the files
+    ``users``."""
+    modules = {p: ast.parse(p.read_text(), str(p)) for p in sorted(package.glob("*.py"))}
+    trees = [tree for p, tree in modules.items() if p.name != "__init__.py"]
+    trees += [ast.parse(p.read_text(), str(p)) for p in users]
+    statements = [(stmt, _names(stmt)) for tree in trees for stmt in tree.body]
+    return [
+        f"{path.stem}.{node.name}"
+        for path, tree in modules.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not _registered(node)
+        and not any(node.name in names for stmt, names in statements if stmt is not node)
+    ]
+
+
+def test_every_definition_in_the_package_is_named_outside_the_tests():
+    users = sorted((ROOT / "perfbench").glob("*.py")) + sorted((ROOT / "tools").glob("*.py"))
+    assert unnamed_definitions(ROOT / "src" / "repcur", users) == []
+
+
+def test_unnamed_definitions_are_found(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "__init__.py").write_text("from .core import dead, Dead, used\n")
+    (package / "core.py").write_text(
+        '"""Mentions dead and Dead in a docstring."""\n'
+        "import click\n\n"
+        "def dead():\n    return dead\n\n"
+        "class Dead:\n    pass\n\n"
+        "def used():\n    pass\n\n"
+        "def reached():\n    pass\n\n"
+        "@click.group()\ndef main():\n    pass\n\n"
+        '@main.command("run")\ndef run_cmd():\n    used()\n'
+    )
+    caller = tmp_path / "caller.py"
+    caller.write_text("import pkg.core\npkg.core.reached()\n")
+    # ``dead`` names only itself; the docstring and __init__.py do not count
+    assert unnamed_definitions(package, [caller]) == ["core.dead", "core.Dead"]
+    assert unnamed_definitions(package, []) == ["core.dead", "core.Dead", "core.reached"]

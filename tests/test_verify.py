@@ -1,16 +1,9 @@
 """The verification layer: positive checks and negative controls."""
 
-import itertools
-
 import pytest
 
 from repcur import verify
-from repcur.currents import (
-    EvaluationModule,
-    InvariantTensor,
-    current_operator_matrix,
-    theta_operator,
-)
+from repcur.currents import EvaluationModule, InvariantTensor
 from repcur.invariants import (
     Permutation,
     casimir_tensor,
@@ -263,14 +256,13 @@ def test_span_closes_the_images_on_non_standard_factors(
     assert r.parameters["product_extended"] is True
 
 
-def _inject_in_front(monkeypatch, bogus, only=object):
+def _inject_in_front(monkeypatch, bogus):
     """Patch the image builder to yield ``bogus`` in front of the images of
-    every tensor whose tuples are an ``only``."""
+    every tensor."""
     images = verify.current_images
 
     def injecting(theta, tuples, em):
-        if isinstance(tuples, only):
-            yield bogus
+        yield bogus
         yield from images(theta, tuples, em)
 
     monkeypatch.setattr(verify, "current_images", injecting)
@@ -363,7 +355,6 @@ def test_cycle_generation(em3):
     r = check_cycle_generation(em3)
     assert r.passed
     assert r.actual == "5"
-    assert r.parameters["sorted_tuple_closure_dim"] == 5
 
 
 def test_cycle_generation_at_four_points(gl2):
@@ -371,7 +362,6 @@ def test_cycle_generation_at_four_points(gl2):
     r = check_cycle_generation(EvaluationModule([v] * 4, [Q(i) for i in range(4)]))
     assert r.passed
     assert r.actual == "14"
-    assert r.parameters["sorted_tuple_closure_dim"] == 14
 
 
 def test_sp_isotypic_irreducibility_at_three_points():
@@ -420,7 +410,6 @@ def test_cycle_generation_at_other_caps(em3, cap):
     r = check_cycle_generation(em3, cap)
     assert r.passed
     assert r.actual == "5"
-    assert r.parameters["sorted_tuple_closure_dim"] == 5
 
 
 def test_slot_basis_is_the_point_indicators(em3):
@@ -440,52 +429,6 @@ def test_slot_basis_spans_the_monomials_on_the_points(gl2, points, cap):
     monomials_on_points = [[p(x) for x in points] for p in monomials]
     assert len(basis) == rank(Mat(on_points)) == rank(Mat(monomials_on_points))
     assert rank(Mat(on_points + monomials_on_points)) == len(basis)
-
-
-def _recording_sorted_images(monkeypatch):
-    """Patch the image builder to record the images pulled from the sorted
-    (``combinations_with_replacement``) tuples only."""
-    pulled = []
-    images = verify.current_images
-
-    def recording(theta, tuples, em):
-        is_sorted = isinstance(tuples, itertools.combinations_with_replacement)
-        for img in images(theta, tuples, em):
-            if is_sorted:
-                pulled.append(img)
-            yield img
-
-    monkeypatch.setattr(verify, "current_images", recording)
-    return pulled
-
-
-@pytest.mark.parametrize(
-    "d,cap,stop,total", [(3, 2, 9, 19), (4, 3, 14, 69), (4, 1, 14, 14)]
-)
-def test_sorted_cycle_walk_pulls_a_prefix_of_the_sorted_monomial_images(
-    gl2, d, cap, stop, total, monkeypatch
-):
-    """The sorted and full closure dimensions agree on every grid tried, so
-    only the images themselves show which tuples the sorted walk saw: a
-    prefix of the sorted monomial images, cut after the degree whose
-    closure reaches the commutant (degree 2, or degree 4 at cap 1, where
-    the walk runs to the end)."""
-    em = EvaluationModule([standard_module(gl2)] * d, [Q(i) for i in range(d)])
-    pulled = _recording_sorted_images(monkeypatch)
-    assert check_cycle_generation(em, cap).passed
-    sorted_images = [
-        current_operator_matrix(
-            theta_operator(
-                theta_sigma(Permutation.cycle(j), gl2), [Poly.monomial(m) for m in degs]
-            ),
-            em,
-        )
-        for j in range(1, d + 1)
-        for degs in itertools.product(range(cap + 1), repeat=j)
-        if list(degs) == sorted(degs)
-    ]
-    assert len(sorted_images) == total
-    assert pulled == sorted_images[:stop]
 
 
 def _recording_closures(monkeypatch):
@@ -520,40 +463,35 @@ def _recording_degrees(monkeypatch):
 @pytest.mark.parametrize(
     "d,cap,status,actual,closed",
     [
-        (
-            4, 1, "pass", 14,
-            [(0, 1), (3, 12), (5, 12), (9, 14), (0, 1), (3, 12), (5, 12), (8, 14)],
-        ),
-        (4, 0, "fail", 3, [(0, 1), (1, 3), (1, 3), (2, 3)] * 2),
-        (3, 0, "fail", 2, [(0, 1), (1, 2), (1, 2)] * 2),
+        (4, 1, "pass", 14, [(0, 1), (3, 12), (5, 12), (9, 14)]),
+        (4, 0, "fail", 3, [(0, 1), (1, 3), (1, 3), (2, 3)]),
+        (3, 0, "fail", 2, [(0, 1), (1, 2), (1, 2)]),
     ],
     ids=["d4-cap1", "d4-cap0", "d3-cap0"],
 )
 def test_cycle_closures_run_when_the_walks_fall_short(
     gl2, d, cap, status, actual, closed, monkeypatch
 ):
-    """Both walks close their kept blocks (each block that enlarged a span
-    seeded with the identity) after every cycle length, the slot walk
-    first, and go on while the closure falls short of the commutant: at
-    cap 1 and d = 4 the closure reaches 14 only after length 4, and at
-    cap 0 never."""
+    """The walk closes its kept blocks (each block that enlarged a span
+    seeded with the identity) after every cycle length, and goes on while
+    the closure falls short of the commutant: at cap 1 and d = 4 the
+    closure reaches 14 only after length 4, and at cap 0 never."""
     em = EvaluationModule([standard_module(gl2)] * d, [Q(i) for i in range(d)])
     fed = _recording_closures(monkeypatch)
     r = check_cycle_generation(em, cap)
     assert (r.status, r.actual) == (status, str(actual))
-    assert r.parameters["sorted_tuple_closure_dim"] == actual
     assert fed == closed
 
 
 def test_cycle_closures_are_skipped_once_the_walks_span_the_commutant(gl2, monkeypatch):
     """Once the closure after cycle length 2 reaches the commutant, no
-    longer cycle is built and no later closure runs, in either walk."""
+    longer cycle is built and no later closure runs."""
     em = EvaluationModule([standard_module(gl2)] * 4, [Q(i) for i in range(4)])
     fed = _recording_closures(monkeypatch)
     degrees = _recording_degrees(monkeypatch)
     r = check_cycle_generation(em)
-    assert r.passed and r.parameters["sorted_tuple_closure_dim"] == 14
-    assert fed == [(0, 1), (6, 14)] * 2
+    assert r.passed
+    assert fed == [(0, 1), (6, 14)]
     assert max(degrees) == 2
 
 
@@ -626,16 +564,3 @@ def test_cycle_check_rejects_image_outside_commutant(em3, monkeypatch):
     r = check_cycle_generation(em3)
     assert r.status == "fail"
     assert "; image 0 does not commute with basis element " in r.actual
-
-
-def test_sorted_walk_stray_leaves_the_verdict_alone(em3, monkeypatch):
-    # a non-commuting matrix in front of every sorted image stream only: the
-    # sorted walk keeps its block, and the verdict and actual stay those of
-    # the slot walk; with that block the span reaches the target 5 within
-    # cycle length 2, so the sorted walk stops there, and 5 is a span cut
-    # at the target, not the algebra the stray block generates
-    bogus = Mat.from_entries(em3.dim, em3.dim, {(0, 1): Q(1)})
-    _inject_in_front(monkeypatch, bogus, itertools.combinations_with_replacement)
-    r = check_cycle_generation(em3)
-    assert (r.status, r.actual) == ("pass", "5")
-    assert r.parameters["sorted_tuple_closure_dim"] == 5
