@@ -10,7 +10,6 @@ from .modules import (
     tensor_module,
     build_irrep,
     isotypic_decompose,
-    casimir_eigenvalue,
     commutant_basis,
     commutant_dimension,
 )

@@ -53,11 +53,10 @@ def parse_transposition(text: str):
     return tuple(sorted(int(tok) for tok in text.strip("() ").replace(",", " ").split()))
 
 
-def _resolve_cap(degree_cap: str, d: int) -> int:
-    # degree d-1 loses nothing: on d distinct points every polynomial
-    # agrees with its Lagrange interpolant of degree < d, and at this cap
-    # the checks evaluate the currents on the indicators L_f(p_g) = δ_fg
-    return d - 1 if degree_cap == "auto" else int(degree_cap)
+def _cap(degree_cap: str):
+    """--degree-cap as the checks take it: None for "auto", which they
+    resolve to their default (``verify._default_cap``)."""
+    return None if degree_cap == "auto" else int(degree_cap)
 
 
 def _build_module(family: str, n: int, points, weights=None) -> EvaluationModule:
@@ -228,10 +227,9 @@ def span_cmd(family, n, points, degree_cap, output, expect_fail):
     """Current images generate the commutant of the algebra action."""
     n = _rank(family, n)
     em = _build_module(family, n, parse_points(points))
-    cap = _resolve_cap(degree_cap, em.d)
-    reports = [verify.check_span_surjectivity(em, degree_cap=cap)]
-    _emit(reports, {"command": "span", "family": family, "n": n,
-                    "points": points, "degree_cap": cap}, output, expect_fail)
+    reports = [verify.check_span_surjectivity(em, degree_cap=_cap(degree_cap))]
+    _emit(reports, {"command": "span", "family": family, "n": n, "points": points,
+                    "degree_cap": reports[0].parameters["degree_cap"]}, output, expect_fail)
 
 
 @verify_group.command("irreducibility")
@@ -245,14 +243,14 @@ def irreducibility_cmd(family, n, points, weights, degree_cap, output, expect_fa
     per-component Burnside check."""
     n = _rank(family, n)
     em = _build_module(family, n, parse_points(points), weights)
-    cap = _resolve_cap(degree_cap, em.d)
+    cap = _cap(degree_cap)
     reports = [
         verify.check_evaluation_irreducibility(em, degree_cap=cap),
         verify.check_isotypic_irreducibility(em, degree_cap=cap),
     ]
     _emit(reports, {"command": "irreducibility", "family": family, "n": n,
                     "points": points, "weights": weights,
-                    "degree_cap": cap}, output, expect_fail)
+                    "degree_cap": reports[1].parameters["degree_cap"]}, output, expect_fail)
 
 
 @verify_group.command("cycle-generation")
@@ -263,10 +261,9 @@ def irreducibility_cmd(family, n, points, weights, degree_cap, output, expect_fa
 def cycle_generation_cmd(n, points, degree_cap, output, expect_fail):
     """Cycle currents alone generate the commutant algebra (gl only)."""
     em = _build_module(GL, n, parse_points(points))
-    cap = _resolve_cap(degree_cap, em.d)
-    reports = [verify.check_cycle_generation(em, degree_cap=cap)]
-    _emit(reports, {"command": "cycle-generation", "n": n,
-                    "points": points, "degree_cap": cap}, output, expect_fail)
+    reports = [verify.check_cycle_generation(em, degree_cap=_cap(degree_cap))]
+    _emit(reports, {"command": "cycle-generation", "n": n, "points": points,
+                    "degree_cap": reports[0].parameters["degree_cap"]}, output, expect_fail)
 
 
 @verify_group.command("all")

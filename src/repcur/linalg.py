@@ -125,11 +125,10 @@ class Mat:
         return m
 
     @classmethod
-    def from_columns(cls, columns, length: int | None = None) -> "Mat":
+    def from_columns(cls, columns, length: int) -> "Mat":
+        """Build from dense columns of ``length`` entries each."""
         cols = list(columns)
         if not cols:
-            if length is None:
-                raise ValueError("cannot infer row count of empty column set")
             return cls.zeros(length, 0)
         return cls._of(len(cols[0]), len(cols), [_sparse_row(r) for r in zip(*cols)])
 
@@ -367,28 +366,24 @@ class SpanTracker:
     def add(self, vec) -> bool:
         return self._absorb(self._sparse(vec))
 
-    def contains(self, vec) -> bool:
-        return not self._reduce(self._sparse(vec))
 
-
-def algebra_closure(gens, size: int, bound: int | None = None) -> list:
+def algebra_closure(gens, size: int, bound: int) -> list:
     """Basis of the smallest unital matrix algebra containing ``gens``.
 
     Seeds with the identity and the generators, then repeatedly multiplies
     basis elements pairwise and re-spans until the dimension stabilizes;
     terminates because the dimension is bounded by size**2.  Returns as
     soon as the span holds ``bound`` matrices, a dimension the caller knows
-    the algebra cannot pass (default size**2, all matrices), so no product
-    round is spent confirming that nothing grows, and generators that
-    already span ``bound`` dimensions get no product round at all.  A
-    basis longer than size**2 means the reducer kept dependent matrices,
-    and raises RuntimeError instead of looping on.
+    the algebra cannot pass (size**2, all matrices, if nothing better is
+    known), so no product round is spent confirming that nothing grows,
+    and generators that already span ``bound`` dimensions get no product
+    round at all.  A basis longer than size**2 means the reducer kept
+    dependent matrices, and raises RuntimeError instead of looping on.
     """
     gens = list(gens)
     for g in gens:
         if g.shape != (size, size):
             raise ValueError(f"generator of shape {g.shape}, expected square {size}")
-    bound = size * size if bound is None else bound
     tracker = SpanTracker(size * size)
     basis: list[Mat] = []
 

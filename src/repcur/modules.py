@@ -60,17 +60,12 @@ class GModule:
     actions: list
     highest_weight: tuple | None = None
 
-    def action_of(self, coords) -> Mat:
-        """Action of the element with the given basis coordinates."""
-        return lincomb(zip(coords, self.actions), self.dim, self.dim)
-
 
 @dataclass
 class IsotypicComponent:
     mu: Weight
     multiplicity: int
     hwv_basis: Mat  # columns: basis of the highest weight vectors
-    component_basis: Mat  # columns spanning the full isotypic component
 
 
 def standard_module(spec: LieAlgebraSpec) -> GModule:
@@ -254,6 +249,8 @@ def isotypic_decompose(module: GModule):
     """Isotypic components with explicit highest-weight-vector bases.
 
     Components are ordered by highest weight, lexicographically descending.
+    They must exhaust the module, Σ m_μ · dim V(μ) = dim, where dim V(μ) is
+    the dimension of the lowering closure of one highest weight vector.
     """
     spec = module.spec
     if module.dim == 0:
@@ -267,26 +264,13 @@ def isotypic_decompose(module: GModule):
     for wt, cols in weight_decomposition(module, hwv_all):
         if not is_dominant(spec, wt):
             raise RuntimeError(f"non-dominant highest weight {wt} found")
-        comp_basis = _lowering_closure(module, cols)
-        mult = cols.cols
-        if comp_basis.cols % mult:
-            raise RuntimeError("component dimension not divisible by multiplicity")
-        components.append(IsotypicComponent(wt, mult, cols, comp_basis))
-        covered += comp_basis.cols
+        irrep = _lowering_closure(module, Mat.from_columns([cols.column(0)], module.dim))
+        components.append(IsotypicComponent(wt, cols.cols, cols))
+        covered += cols.cols * irrep.cols
     if covered != module.dim:
         raise RuntimeError("isotypic components do not exhaust the module")
     components.sort(key=lambda c: c.mu, reverse=True)
     return components
-
-
-def casimir_eigenvalue(spec: LieAlgebraSpec, irrep: GModule):
-    """The exact scalar by which Σ_i e_i e^i acts on an irreducible module."""
-    products = (a * irrep.action_of(spec.coords(d)) for a, d in zip(irrep.actions, spec.dual_basis))
-    total = lincomb(((ONE, m) for m in products), irrep.dim, irrep.dim)
-    c = total[0, 0]
-    if total != Mat.identity(irrep.dim).scale(c):
-        raise ValueError("Casimir operator is not scalar: module is not irreducible")
-    return c
 
 
 # -- commutants -----------------------------------------------------------

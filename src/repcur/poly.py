@@ -19,17 +19,8 @@ class Poly:
         self.coeffs = tuple(cs)
 
     @classmethod
-    def monomial(cls, degree: int, coeff=1) -> "Poly":
-        return cls([0] * degree + [coeff])
-
-    @classmethod
     def constant(cls, c) -> "Poly":
         return cls([c])
-
-    @property
-    def degree(self) -> int:
-        """Degree, with the zero polynomial reported as -1."""
-        return len(self.coeffs) - 1
 
     def is_zero(self) -> bool:
         return not self.coeffs

@@ -33,10 +33,10 @@ from .invariants import (
     theta_sigma,
 )
 from .liealg import GL, SO, SP, LieAlgebraSpec, build_lie_algebra
-from .linalg import Mat, SpanTracker, algebra_closure, rank, rref
+from .linalg import Mat, SpanTracker, algebra_closure, inverse, rank, rref
 from .modules import (
+    _lowering_closure,
     build_irrep,
-    casimir_eigenvalue,
     commutant_basis,
     commutant_dimension,
     isotypic_decompose,
@@ -178,22 +178,28 @@ def check_commutant(theta: InvariantTensor, polys, em: EvaluationModule):
 # -- Casimir ---------------------------------------------------------------
 
 
-def casimir_scalar(spec: LieAlgebraSpec, mu, cache: dict):
-    """C_mu: the scalar of the Casimir on V(mu), built in tensor degree
-    Σ|mu_i| independently of the module under test; ``cache`` holds the
-    scalars already computed, keyed by (family, n, mu)."""
-    key = (spec.family, spec.n, tuple(mu))
-    if key not in cache:
-        cache[key] = casimir_eigenvalue(spec, build_irrep(spec, mu, sum(map(abs, mu))))
-    return cache[key]
+def casimir_scalar(spec: LieAlgebraSpec, mu):
+    """C_mu = ⟨mu, mu + 2ρ⟩, the scalar of the Casimir Σ_i e_i e^i on V(mu),
+    read off the spec alone.  Weights pair through the inverse of the
+    trace-form Gram matrix of the Cartan basis.  2ρ, the sum of the positive
+    roots, has entry Σ_r α_r(h_k) at h_k, where [h_k, r] = α_r(h_k) r for
+    each raising element r."""
+    cartan = [spec.basis[h] for h in spec.cartan_indices]
+    gram_inv = inverse(Mat([[(a * b).trace() for b in cartan] for a in cartan]))
+    two_rho = [
+        sum(spec.bracket[(h, r)].get(r, 0) for r in spec.raising_indices)
+        for h in spec.cartan_indices
+    ]
+    shifted = gram_inv.apply([m + r for m, r in zip(mu, two_rho)])
+    return sum(m * x for m, x in zip(mu, shifted))
 
 
 @_check("casimir_formula")
-def check_casimir_formula(em: EvaluationModule, p: Poly, q: Poly, casimir_cache=None):
+def check_casimir_formula(em: EvaluationModule, p: Poly, q: Poly):
     """Omega(P, Q) acts on each isotypic component W[mu] by the two-point
-    scalar w1 z1 C_{l1} + w2 z2 C_{l2} + (w1 z2 + w2 z1)/2 (C_mu - C_{l1} - C_{l2}).
-    A sweep passes one ``casimir_cache`` to share the scalars C_mu between checks."""
-    cache = {} if casimir_cache is None else casimir_cache
+    scalar w1 z1 C_{l1} + w2 z2 C_{l2} + (w1 z2 + w2 z1)/2 (C_mu - C_{l1} - C_{l2}),
+    with C_mu from ``casimir_scalar``; each component is the lowering
+    closure of its highest weight vectors."""
     if em.d != 2:
         raise ValueError("the two-point Casimir formula needs exactly two factors")
     if not em.has_distinct_points():
@@ -212,18 +218,18 @@ def check_casimir_formula(em: EvaluationModule, p: Poly, q: Poly, casimir_cache=
 
     w1, w2 = p(em.points[0]), p(em.points[1])
     z1, z2 = q(em.points[0]), q(em.points[1])
-    c1 = casimir_scalar(spec, lams[0], cache)
-    c2 = casimir_scalar(spec, lams[1], cache)
+    c1 = casimir_scalar(spec, lams[0])
+    c2 = casimir_scalar(spec, lams[1])
     op = invariant_operator_matrix(casimir_tensor(spec), [p, q], em)
 
     observed = []
     ok = True
     for comp in isotypic_decompose(em.carrier):
-        cmu = casimir_scalar(spec, comp.mu, cache)
+        cmu = casimir_scalar(spec, comp.mu)
         scalar = w1 * z1 * c1 + w2 * z2 * c2 + Q(w1 * z2 + w2 * z1, 2) * (
             cmu - c1 - c2
         )
-        basis = comp.component_basis
+        basis = _lowering_closure(em.carrier, comp.hwv_basis)
         if op * basis != basis.scale(scalar):
             ok = False
         observed.append(f"mu={comp.mu}: {scalar}")
@@ -317,6 +323,11 @@ def check_schur_weyl_composition(em: EvaluationModule):
 
 
 def _default_cap(em: EvaluationModule, degree_cap) -> int:
+    """The degree cap of the currents, d − 1 for d points when
+    ``degree_cap`` is None.  Degree d − 1 loses nothing: on d distinct
+    points every polynomial agrees with its Lagrange interpolant of degree
+    < d, and at this cap the checks evaluate the currents on the indicators
+    L_f(p_g) = δ_fg."""
     cap = em.d - 1 if degree_cap is None else int(degree_cap)
     if cap < 0:
         raise ValueError(f"the degree cap must be non-negative, got {cap}")
@@ -563,7 +574,6 @@ def run_acceptance_suite(seed: int = 0, profile: str = "desk"):
     rng = random.Random(seed)
     full = profile == "desk"
     reports: list[CheckReport] = []
-    casimir_cache: dict = {}
 
     def add(criterion: str, report: CheckReport):
         report.parameters["criterion"] = criterion
@@ -622,12 +632,8 @@ def run_acceptance_suite(seed: int = 0, profile: str = "desk"):
         W = build_irrep(spec, (2, 0), 2)
         casimir_ems.append(EvaluationModule([W, standard_module(spec)], [Q(1, 2), Q(-2)]))
     for em in casimir_ems:
-        add(
-            "casimir_formula",
-            check_casimir_formula(
-                em, _random_poly(rng, 2), _random_poly(rng, 2), casimir_cache=casimir_cache
-            ),
-        )
+        p, q = _random_poly(rng, 2), _random_poly(rng, 2)
+        add("casimir_formula", check_casimir_formula(em, p, q))
 
     # 4. Schur-Weyl transposition preimages, including composition.
     sw_grid = [(2, 2), (2, 3)] + ([(3, 2), (3, 3)] if full else [])

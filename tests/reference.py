@@ -21,7 +21,7 @@ def reference_image(theta, polys, em) -> Mat:
         word = Mat.identity(em.dim)
         for b, poly in zip(indices, polys):
             letter = lincomb(
-                ((a, em.basis_action(b, Poly.monomial(m))) for m, a in poly.monomials()),
+                ((a, em.basis_action(b, Poly([0] * m + [1]))) for m, a in poly.monomials()),
                 em.dim,
                 em.dim,
             )
@@ -44,3 +44,25 @@ def check_bracket_compatibility(module) -> bool:
             if lhs != module.actions[i].commutator(module.actions[j]):
                 return False
     return True
+
+
+def casimir_eigenvalue(spec, irrep):
+    """The scalar by which Σ_i e_i e^i acts on an irreducible module, from
+    its matrices: each e^i acts by the combination of the basis actions
+    with its coordinates.  Raises ValueError if the operator is not scalar."""
+    n = irrep.dim
+    products = (
+        a * lincomb(zip(spec.coords(d), irrep.actions), n, n)
+        for a, d in zip(irrep.actions, spec.dual_basis)
+    )
+    total = lincomb(((1, m) for m in products), n, n)
+    c = total[0, 0]
+    if total != Mat.identity(n).scale(c):
+        raise ValueError("Casimir operator is not scalar: module is not irreducible")
+    return c
+
+
+def span_contains(tracker, vec) -> bool:
+    """Whether ``vec`` lies in the span of a ``SpanTracker``: reduced
+    against its pivot rows, nothing is left."""
+    return not tracker._reduce(tracker._sparse(vec))

@@ -13,9 +13,11 @@ import pytest
 
 from repcur.currents import EvaluationModule
 from repcur.liealg import GL, SP, build_lie_algebra
-from repcur.modules import build_irrep, casimir_eigenvalue, standard_module
+from repcur.modules import build_irrep, standard_module
 from repcur.rational import Q
 from repcur.verify import check_span_surjectivity, run_acceptance_suite
+
+from reference import casimir_eigenvalue
 
 
 @pytest.fixture(scope="session")

@@ -124,6 +124,21 @@ def test_so_commands_default_to_so3(runner, command):
     assert json.loads(res.output)["config"]["n"] == 3
 
 
+@pytest.mark.parametrize(
+    "args,d",
+    [
+        (["span", "--points", "0,1,2"], 3),
+        (["irreducibility", "--points", "0,1"], 2),
+        (["cycle-generation", "--points", "0,1,2"], 3),
+    ],
+    ids=["span", "irreducibility", "cycle-generation"],
+)
+def test_auto_degree_cap_is_d_minus_1(runner, args, d):
+    res = invoke(runner, ["verify", *args, "--degree-cap", "auto", "-o", "-"])
+    assert res.exit_code == 0
+    assert json.loads(res.output)["config"]["degree_cap"] == d - 1
+
+
 def test_usage_errors_exit_2(runner):
     cases = [
         ["verify", "casimir", "--weights", "0,2"],  # not dominant

@@ -45,13 +45,13 @@ def test_float_points_are_rejected(gl2):
 
 def test_basis_action_scales_by_point_values(em3):
     one = Poly.constant(1)
-    t = Poly.monomial(1)
+    t = Poly([0, 1])
     for b in range(4):
         a0 = em3.basis_action(b, one)
         a1 = em3.basis_action(b, t)
-        a2 = em3.basis_action(b, Poly.monomial(2))
+        a2 = em3.basis_action(b, Poly([0, 0, 1]))
         # on the points (0, 1, 2), t^3 interpolates to 3 t^2 - 2 t
-        a3 = em3.basis_action(b, Poly.monomial(3))
+        a3 = em3.basis_action(b, Poly([0, 0, 0, 1]))
         assert a3 == a2.scale(3) - a1.scale(2)
         assert a0 == em3.basis_action(b, Poly.constant(1))
 
@@ -72,7 +72,7 @@ def test_interpolation_losslessness(em3):
     """Any polynomial acts like its degree < d interpolant on d points."""
     p = Poly([5, -3, 0, 2, 1])  # degree 4
     interp = lagrange_interpolant(em3.points, [p(x) for x in em3.points])
-    assert interp.degree <= 2
+    assert len(interp.coeffs) <= 3
     for b in range(4):
         assert em3.basis_action(b, p) == em3.basis_action(b, interp)
 
@@ -88,7 +88,7 @@ def test_theta_operator_expansion_matches_fast_path(gl2, em3):
 # slot lists of unequal lengths, with polynomials that are not monomials
 SLOT_POLYS = [
     [Poly([1, 1]), Poly([0, Q(1, 2), 1])],
-    [Poly.monomial(2), Poly([-3]), Poly([2, 0, -1])],
+    [Poly([0, 0, 1]), Poly([-3]), Poly([2, 0, -1])],
     [Poly([0, 1])],
 ]
 
@@ -143,7 +143,7 @@ def test_current_images_arity_check(gl2, em3):
     with pytest.raises(ValueError):
         list(current_images(casimir_tensor(gl2), itertools.product(*SLOT_POLYS), em3))
     with pytest.raises(ValueError):
-        invariant_operator_matrix(casimir_tensor(gl2), [Poly.monomial(0)], em3)
+        invariant_operator_matrix(casimir_tensor(gl2), [Poly([1])], em3)
 
 
 def test_invariant_tensor_algebra():

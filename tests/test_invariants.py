@@ -237,7 +237,7 @@ def test_casimir_tensor_is_ad_invariant(family, n):
 def test_schur_weyl_polys_delta_property():
     pts = [Q(0), Q(1, 2), Q(7, 3)]
     p, q = schur_weyl_polys((1, 3), pts, 3)
-    assert p.degree == 3 and q.degree == 3
+    assert len(p.coeffs) == len(q.coeffs) == 4
     assert [p(x) for x in pts] == [Q(1), Q(0), Q(0)]
     assert [q(x) for x in pts] == [Q(0), Q(0), Q(1)]
 

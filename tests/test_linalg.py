@@ -19,6 +19,8 @@ from repcur.linalg import (
 )
 from repcur.rational import ONE, Q, ZERO, exact
 
+from reference import span_contains
+
 
 def mat(rows):
     return Mat(rows)
@@ -119,8 +121,8 @@ def test_span_tracker():
     assert t.add([Q(1), Q(1), Q(0)])
     assert not t.add([Q(2), Q(1), Q(0)])
     assert t.dim == 2
-    assert t.contains([Q(5), Q(-3), Q(0)])
-    assert not t.contains([Q(0), Q(0), Q(1)])
+    assert span_contains(t, [Q(5), Q(-3), Q(0)])
+    assert not span_contains(t, [Q(0), Q(0), Q(1)])
 
 
 def test_span_dimension_of_matrices():
@@ -135,7 +137,7 @@ def test_algebra_closure_full_matrix_algebra():
     # E_12 and E_21 generate all of 2x2
     e12 = mat([[0, 1], [0, 0]])
     e21 = mat([[0, 0], [1, 0]])
-    assert len(algebra_closure([e12, e21], 2)) == 4
+    assert len(algebra_closure([e12, e21], 2, 4)) == 4
 
 
 def _counting_products(monkeypatch):
@@ -157,10 +159,10 @@ def test_algebra_closure_stops_once_every_matrix_is_spanned(monkeypatch):
     e12 = mat([[0, 1], [0, 0]])
     e21 = mat([[0, 0], [1, 0]])
     # generators that span all 2x2 matrices get no product round
-    assert len(algebra_closure([e12, e21, e11], 2)) == 4
+    assert len(algebra_closure([e12, e21, e11], 2, 4)) == 4
     assert products == []
     # over I, E_12, E_21 the sixth product, E_12 E_21 = E_11, fills the span
-    assert len(algebra_closure([e12, e21], 2)) == 4
+    assert len(algebra_closure([e12, e21], 2, 4)) == 4
     assert len(products) == 6
 
 
@@ -169,8 +171,9 @@ def test_algebra_closure_returns_at_the_bound(monkeypatch):
     # E_12, E_21, E_34 and E_43 generate the block-diagonal M_2 + M_2, of dimension 8
     gens = [Mat.from_entries(4, 4, {ij: 1}) for ij in [(0, 1), (1, 0), (2, 3), (3, 2)]]
     # the span of I and the four generators reaches 8 within the first
-    # round of 5 x 5 products; without a bound an 8 x 8 round confirms it
-    unbounded = algebra_closure(gens, 4)
+    # round of 5 x 5 products; at the trivial bound 4**2 an 8 x 8 round
+    # confirms it
+    unbounded = algebra_closure(gens, 4, 4**2)
     assert len(unbounded) == 8 and len(products) == 5**2 + 8**2
     products.clear()
     assert algebra_closure(gens, 4, 8) == unbounded
@@ -179,7 +182,7 @@ def test_algebra_closure_returns_at_the_bound(monkeypatch):
 
 def test_algebra_closure_commutative_case():
     d = mat([[1, 0], [0, 2]])
-    assert len(algebra_closure([d], 2)) == 2  # I and d
+    assert len(algebra_closure([d], 2, 4)) == 2  # I and d
 
 
 # -- sparse kernels against a plain list-of-lists reference ---------------
@@ -311,7 +314,7 @@ def test_span_tracker_matches_dense_rank(data):
         seen.append(v)
         assert t.add(v) == (len(ref_rref(seen, n)[1]) > rank_before)
         assert t.dim == len(ref_rref(seen, n)[1])
-    assert t.contains(probe) == (len(ref_rref(seen + [probe], n)[1]) == t.dim)
+    assert span_contains(t, probe) == (len(ref_rref(seen + [probe], n)[1]) == t.dim)
 
 
 @settings(max_examples=40, deadline=None)
@@ -320,7 +323,7 @@ def test_span_tracker_reads_matrices_row_major(ref):
     m = build(ref)
     t, u = SpanTracker(6), SpanTracker(6)
     assert t.add(m) == u.add([x for row in ref[0] for x in row])
-    assert t.contains(m) and u.contains(m)
+    assert span_contains(t, m) and span_contains(u, m)
     with pytest.raises(ValueError):
         t.add(Mat.zeros(3, 3))
 
@@ -344,7 +347,7 @@ def test_algebra_closure_rejects_a_basis_longer_than_size_squared(monkeypatch):
     monkeypatch.setattr(SpanTracker, "add", lambda self, vec: True)
     e12 = mat([[0, 1], [0, 0]])
     with pytest.raises(RuntimeError):
-        algebra_closure([e12], 2)
+        algebra_closure([e12], 2, 4)
 
 
 # -- int and Q entries ------------------------------------------------------
@@ -417,7 +420,7 @@ def test_mixed_int_and_rational_entries_match_all_rational(data):
     assert t.dim == u.dim
     for i in range(r):
         row, qrow = Mat._of(1, c, [b.data[i]]), Mat._of(1, c, [qb.data[i]])
-        assert t.contains(row) == u.contains(qrow) == u.contains(row)
+        assert span_contains(t, row) == span_contains(u, qrow) == span_contains(u, row)
     for p in t._pivots:
         assert_no_floats(t._pivots[p].values(), u._pivots[p].values())
 
@@ -513,8 +516,8 @@ def test_wide_entries_match_dense_reference(data):
     probe = data.draw(wide_rows(c, max_rows=1)) or [[0] * c]
     coeffs = [data.draw(wide) for _ in rows]
     inside = [sum((a * row[j] for a, row in zip(coeffs, rows)), 0) for j in range(c)]
-    assert t.contains(inside)
-    grows = not t.contains(probe[0])
+    assert span_contains(t, inside)
+    grows = not span_contains(t, probe[0])
     assert grows == (len(ref_rref(as_ref(rows + probe), c)[1]) > rk)
     assert t.add(probe[0]) == grows and t.dim == rk + grows
     assert_primitive_pivots(t)

@@ -10,8 +10,8 @@ from repcur.currents import EvaluationModule
 from repcur.liealg import GL, SO, SP, build_lie_algebra
 from repcur.linalg import Mat, SpanTracker
 from repcur.modules import (
+    _lowering_closure,
     build_irrep,
-    casimir_eigenvalue,
     commutant_basis,
     commutant_dimension,
     is_dominant,
@@ -23,7 +23,7 @@ from repcur.modules import (
 from repcur.poly import Poly
 from repcur.rational import Q
 
-from reference import check_bracket_compatibility
+from reference import casimir_eigenvalue, check_bracket_compatibility, span_contains
 
 
 @pytest.fixture(scope="module")
@@ -194,9 +194,22 @@ def test_sp2_casimir_eigenvalues(sp2):
 
 def test_isotypic_decomposition_tensor_square(gl2):
     v = standard_module(gl2)
-    comps = isotypic_decompose(tensor_module([v, v]))
+    module = tensor_module([v, v])
+    comps = isotypic_decompose(module)
     assert [(c.mu, c.multiplicity) for c in comps] == [((2, 0), 1), ((1, 1), 1)]
-    assert sum(c.component_basis.cols for c in comps) == 4
+    assert sum(_lowering_closure(module, c.hwv_basis).cols for c in comps) == 4
+
+
+def test_isotypic_decompose_raises_when_components_do_not_exhaust(gl2):
+    """With the lowering actions zeroed, each highest weight vector closes
+    to a line, so Σ m_μ · dim V(μ) falls short of the dimension."""
+    v = standard_module(gl2)
+    module = tensor_module([v, v])
+    lowering = set(gl2.lowering_indices)
+    actions = [Mat.zeros(4, 4) if i in lowering else a for i, a in enumerate(module.actions)]
+    broken = dataclasses.replace(module, actions=actions)
+    with pytest.raises(RuntimeError, match="do not exhaust the module"):
+        isotypic_decompose(broken)
 
 
 def test_isotypic_decomposition_tensor_cube(gl2):
@@ -269,7 +282,8 @@ def test_commutant_basis_against_the_isotypic_multiplicities(family, n, factors)
 
 def _current_actions(em):
     """b(t^k) on the evaluation module for every basis element b and k < d."""
-    return [em.basis_action(b, Poly.monomial(k)) for k in range(em.d) for b in range(em.spec.dim)]
+    monomials = [Poly([0] * k + [1]) for k in range(em.d)]
+    return [em.basis_action(b, t_k) for t_k in monomials for b in range(em.spec.dim)]
 
 
 @pytest.mark.parametrize("family,n,d", [(GL, 2, 3), (GL, 3, 3), (SP, 1, 3), (SO, 3, 2)])
@@ -296,7 +310,7 @@ def test_commutant_at_coincident_points_is_the_g_commutant(family, n, d):
     span = SpanTracker(em.dim**2)
     for m in commutant_basis(em.carrier.actions, em.carrier):
         span.add(m)
-    assert all(span.contains(m) for m in basis)
+    assert all(span_contains(span, m) for m in basis)
 
 
 @pytest.mark.parametrize(
@@ -311,6 +325,7 @@ def test_so_isotypic_multiplicities(n, d, mults):
     Young diagrams); for so(4) the shape (1, 1) splits into (1, 1) and
     (1, -1)."""
     v = standard_module(build_lie_algebra(SO, n))
-    comps = isotypic_decompose(tensor_module([v] * d))
+    module = tensor_module([v] * d)
+    comps = isotypic_decompose(module)
     assert [(c.mu, c.multiplicity) for c in comps] == mults
-    assert sum(c.component_basis.cols for c in comps) == n**d
+    assert sum(_lowering_closure(module, c.hwv_basis).cols for c in comps) == n**d

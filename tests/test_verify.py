@@ -19,6 +19,8 @@ from repcur.modules import (
 )
 from repcur.poly import Poly
 from repcur.rational import Q
+
+from reference import casimir_eigenvalue
 from repcur.verify import (
     casimir_scalar,
     check_ad_invariance,
@@ -77,7 +79,7 @@ def test_commutant_check(gl2, em2):
 
 
 def test_casimir_formula_standard(em2):
-    r = check_casimir_formula(em2, Poly.monomial(1), Poly([1, 1]))
+    r = check_casimir_formula(em2, Poly([0, 1]), Poly([1, 1]))
     assert r.passed
     assert "mu=(2, 0): 5" in r.expected
     assert "mu=(1, 1): 3" in r.expected
@@ -102,7 +104,7 @@ def test_so_casimir_and_isotypic_irreducibility(n, expected):
     # C_V = 1 on so(3) and 3/2 on so(4)
     v = standard_module(build_lie_algebra(SO, n))
     em = EvaluationModule([v, v], [Q(0), Q(1)])
-    r = check_casimir_formula(em, Poly.monomial(1), Poly([1, 1]))
+    r = check_casimir_formula(em, Poly([0, 1]), Poly([1, 1]))
     assert r.passed
     assert r.expected == expected
     r = check_isotypic_irreducibility(em)
@@ -136,17 +138,20 @@ def _casimir_closed_form(family: str, n: int, lam):
     ],
 )
 def test_casimir_scalar_closed_form(family, n, lam):
+    """Three routes to C_λ agree: the library's ⟨λ, λ + 2ρ⟩ from the spec,
+    the family table above, and the Casimir operator on the built V(λ)."""
     spec = build_lie_algebra(family, n)
-    assert casimir_scalar(spec, lam, {}) == _casimir_closed_form(family, n, lam)
+    built = casimir_eigenvalue(spec, build_irrep(spec, lam, sum(map(abs, lam))))
+    assert casimir_scalar(spec, lam) == _casimir_closed_form(family, n, lam) == built
 
 
 def test_casimir_formula_validation(gl2, em3):
     with pytest.raises(ValueError):
-        check_casimir_formula(em3, Poly.monomial(1), Poly.monomial(1))
+        check_casimir_formula(em3, Poly([0, 1]), Poly([0, 1]))
     v = standard_module(gl2)
     same = EvaluationModule([v, v], [Q(1), Q(1)])
     with pytest.raises(ValueError):
-        check_casimir_formula(same, Poly.monomial(1), Poly.monomial(1))
+        check_casimir_formula(same, Poly([0, 1]), Poly([0, 1]))
 
 
 def test_place_permutation_is_a_homomorphism():
@@ -424,7 +429,7 @@ def test_slot_basis_is_the_point_indicators(em3):
 def test_slot_basis_spans_the_monomials_on_the_points(gl2, points, cap):
     em = EvaluationModule([standard_module(gl2)] * 3, points)
     basis = verify._slot_basis(em, cap)
-    monomials = [Poly.monomial(m) for m in range(cap + 1)]
+    monomials = [Poly([0] * m + [1]) for m in range(cap + 1)]
     on_points = [[p(x) for x in points] for p in basis]
     monomials_on_points = [[p(x) for x in points] for p in monomials]
     assert len(basis) == rank(Mat(on_points)) == rank(Mat(monomials_on_points))
