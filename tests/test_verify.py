@@ -19,8 +19,6 @@ from repcur.modules import (
 )
 from repcur.poly import Poly
 from repcur.rational import Q
-
-from reference import casimir_eigenvalue
 from repcur.verify import (
     casimir_scalar,
     check_ad_invariance,
@@ -36,6 +34,8 @@ from repcur.verify import (
     evaluation_commutant_dimension,
     place_permutation_matrix,
 )
+
+from reference import casimir_eigenvalue
 
 
 @pytest.fixture(scope="module")
