@@ -35,12 +35,6 @@ class InvariantTensor:
         )
         return cls(k, items)
 
-    def scale(self, c) -> "InvariantTensor":
-        c = exact(c)
-        return InvariantTensor(
-            self.k, tuple((c * a, idx) for a, idx in self.terms if c * a)
-        )
-
     def is_zero(self) -> bool:
         return not self.terms
 

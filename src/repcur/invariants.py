@@ -34,10 +34,6 @@ class Permutation:
         self.images = images
 
     @classmethod
-    def identity(cls, k: int) -> "Permutation":
-        return cls(range(1, k + 1))
-
-    @classmethod
     def cycle(cls, k: int) -> "Permutation":
         """The k-cycle (1, 2, ..., k)."""
         return cls([i % k + 1 for i in range(1, k + 1)])

@@ -4,6 +4,7 @@ Each follows its definition directly, with no prefix sharing and no
 compiled tensor, so it does not share the code paths it checks.
 """
 
+from repcur.currents import InvariantTensor
 from repcur.linalg import Mat, lincomb
 from repcur.poly import Poly
 
@@ -66,3 +67,8 @@ def span_contains(tracker, vec) -> bool:
     """Whether ``vec`` lies in the span of a ``SpanTracker``: reduced
     against its pivot rows, nothing is left."""
     return not tracker._reduce(tracker._sparse(vec))
+
+
+def scaled(theta, c) -> InvariantTensor:
+    """c · θ, term by term, with the zero terms dropped."""
+    return InvariantTensor(theta.k, tuple((c * a, idx) for a, idx in theta.terms if c * a))

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, JSON output, input validation."""
 
+import hashlib
 import json
 import shlex
 from pathlib import Path
@@ -41,6 +42,55 @@ def test_json_schema(runner):
             "runtime_ms",
         }
         assert check["status"] == "pass"
+
+
+# Each payload's sha256 (first 16 hex digits), re-serialised with every
+# runtime_ms set to 0, and the exit code.  The digest covers the config's
+# key order and every byte of the reports.
+_GOLDEN = [
+    ("ad-invariance", 0, "34174e84bde77a77"),
+    ("commutant", 0, "bdf131d2919f4846"),
+    ("casimir", 0, "0d59c28af91377a8"),
+    ("span", 0, "f95f270b7904346d"),
+    ("irreducibility", 0, "4d8ccf520e2271fd"),
+    ("schur-weyl", 0, "86e0ff54eafe028b"),
+    ("cycle-generation", 0, "82b683ce2b4d5dc8"),
+    ("all", 0, "c263238329e7b1c5"),
+    ("ad-invariance --family so", 0, "4159f5f4c0938f3a"),
+    ("commutant --family so", 0, "6dfe9c225da0240a"),
+    ("casimir --family so", 0, "b74f1a6ab6b1493d"),
+    ("span --family so", 0, "ae77f2d4e72046e3"),
+    ("irreducibility --family so", 0, "5a051464b5a42bcc"),
+    ("ad-invariance -n 3 --family gl", 0, "ac1654bade7d1fd8"),
+    ("commutant -n 3 --family gl", 0, "824096d7ec0cded1"),
+    ("casimir -n 3 --family gl", 0, "a9a4be3a81b19bd8"),
+    ("span -n 3 --family gl", 0, "f235c4936f4bd496"),
+    ("irreducibility -n 3 --family gl", 0, "90947eb11a40842c"),
+    ("ad-invariance --family so -n 3", 0, "4159f5f4c0938f3a"),
+    ("commutant --family so -n 3", 0, "6dfe9c225da0240a"),
+    ("casimir --family so -n 3", 0, "b74f1a6ab6b1493d"),
+    ("span --family so -n 3", 0, "ae77f2d4e72046e3"),
+    ("irreducibility --family so -n 3", 0, "5a051464b5a42bcc"),
+    ("span --points 0,1,2 --degree-cap 0", 1, "e05b6f1161afea7b"),
+    ("irreducibility --points 0,0,0 --expect-fail", 0, "c2ed1ae5508a273a"),
+    ("irreducibility -n 1 --points 0,1 --weights '2;1'", 0, "1798b01f2203dbe1"),
+    ("casimir --weights '2,0;1,0'", 0, "61aabf56b6d86f85"),
+    ("casimir --family so -n 4 --weights '1,-1;1,0'", 0, "ed65b5df742b2f70"),
+    ("schur-weyl -k 3 --points 0,1/2,7/3 --tau '(1 3)'", 0, "b5a4a5fe1b520f10"),
+    ("cycle-generation --points 0,1,2 --degree-cap 1", 0, "0b357cdd3f358e94"),
+    ("all --profile quick", 0, "bb91b4c745ca2265"),
+]
+
+
+@pytest.mark.parametrize("args,code,digest", _GOLDEN, ids=[a for a, _, _ in _GOLDEN])
+def test_golden_payload(runner, args, code, digest):
+    res = invoke(runner, ["verify", *shlex.split(args)])
+    assert res.exit_code == code
+    payload = json.loads(res.output)
+    for check in payload["checks"]:
+        check["runtime_ms"] = 0
+    text = json.dumps(payload, indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
 
 def test_output_file(runner, tmp_path):
@@ -149,6 +199,11 @@ def test_usage_errors_exit_2(runner):
         ["verify", "casimir", "--family", "so", "-n", "2"],  # so(2) is abelian
         ["verify", "commutant", "--polys", "0,x"],  # malformed coefficient
         ["verify", "casimir", "--polys", "0,1;"],  # empty coefficient
+        ["verify", "span", "--points", "0,,1"],  # empty point
+        ["verify", "span", "--points", "0,1,"],
+        ["verify", "schur-weyl", "--points", ""],
+        ["verify", "casimir", "--weights", "1,0;;1,0"],  # empty weight
+        ["verify", "casimir", "--weights", "1,0;1,"],  # empty coordinate
         ["verify", "span", "-n", "0"],  # no gl(0)
         ["verify", "span", "--family", "so", "-n", "2"],  # so(2) is abelian
         ["verify", "ad-invariance", "-k", "0"],  # no degree-0 tensor

@@ -11,6 +11,13 @@ docstrings, which are strings to ``ast``.  Click commands and groups are
 exempt, since their decorator registers them; so are dunder methods, which
 Python calls, and an override that calls ``super()`` under its own name,
 which its base class calls.
+
+Methods are matched by name alone, so a method escapes the scan when a
+method of another class shares its name and has a caller: ``Mat.scale`` and
+``Mat.identity`` hid the test-only ``InvariantTensor.scale`` and
+``Permutation.identity`` until they were removed.  The names still shared
+(``dim``, ``is_zero``, and ``scale`` of ``Mat`` and ``Poly``) were checked
+by reading: every class's method has a caller in the package.
 """
 
 import ast
