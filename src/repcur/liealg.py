@@ -125,7 +125,8 @@ def build_lie_algebra(family: str, n: int) -> LieAlgebraSpec:
     basis, cartan, raising, lowering = _family_basis(size, form)
 
     gram_inv = inverse(Mat([[(a * b).trace() for b in basis] for a in basis]))
-    dual = [lincomb(zip(gram_inv.column(i), basis), size, size) for i in range(len(basis))]
+    # the Gram matrix is symmetric, so row i of its inverse is column i
+    dual = [lincomb(((x, basis[j]) for j, x in row.items()), size, size) for row in gram_inv.data]
 
     spec = LieAlgebraSpec(
         family=family,

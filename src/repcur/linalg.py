@@ -1,10 +1,10 @@
 """Exact sparse linear algebra over the rationals.
 
 Row reduction, kernels, span dimensions and unital matrix-algebra closure.
-Everything here is exact.  A matrix stores each row as a {column: value}
-dict holding only its nonzero entries, so every kernel touches nonzeros
-only; a zero is never stored.  All operations return fresh objects
-(matrices are treated as immutable values once built).
+Everything here is exact.  Every vector is an {index: value} dict holding
+only its nonzero entries, and a matrix stores each row as such a dict, so
+every kernel touches nonzeros only; a zero is never stored.  All operations
+return fresh objects (matrices are treated as immutable values once built).
 
 Entries enter a matrix through ``rational.exact``: an integral entry is a
 Python int and only an entry with a denominator is a ``Q``.  Sums and
@@ -27,11 +27,6 @@ from __future__ import annotations
 from math import gcd, lcm
 
 from .rational import ONE, exact
-
-
-def _sparse_row(values) -> dict:
-    """{index: value} over the nonzero entries of a dense sequence."""
-    return {j: q for j, q in enumerate(map(exact, values)) if q}
 
 
 def _integral(v: dict) -> dict:
@@ -95,7 +90,7 @@ class Mat:
         self.cols = len(rows[0]) if rows else 0
         if any(len(row) != self.cols for row in rows):
             raise ValueError("ragged rows")
-        self.data = [_sparse_row(row) for row in rows]
+        self.data = [{j: q for j, q in enumerate(map(exact, row)) if q} for row in rows]
 
     # -- constructors -------------------------------------------------
 
@@ -126,11 +121,11 @@ class Mat:
 
     @classmethod
     def from_columns(cls, columns, length: int) -> "Mat":
-        """Build from dense columns of ``length`` entries each."""
+        """Build the ``length``-row matrix whose columns are the given
+        {index: value} vectors."""
         cols = list(columns)
-        if not cols:
-            return cls.zeros(length, 0)
-        return cls._of(len(cols[0]), len(cols), [_sparse_row(r) for r in zip(*cols)])
+        entries = {(i, j): v for j, col in enumerate(cols) for i, v in col.items()}
+        return cls.from_entries(length, len(cols), entries)
 
     # -- basic ops ----------------------------------------------------
 
@@ -187,21 +182,17 @@ class Mat:
             raise ValueError("trace of non-square matrix")
         return sum(r.get(i, 0) for i, r in enumerate(self.data))
 
-    def column(self, j: int) -> list:
-        return [r.get(j, 0) for r in self.data]
-
-    def columns(self) -> list:
-        return [self.column(j) for j in range(self.cols)]
-
-    def apply(self, vec: list) -> list:
-        """Matrix times column vector (a dense list)."""
-        out = []
-        for row in self.data:
+    def apply(self, vec: dict) -> dict:
+        """Matrix times an {index: value} column vector, as such a vector."""
+        out = {}
+        for i, row in enumerate(self.data):
             s = 0
             for j, a in row.items():
-                if vec[j]:
-                    s += a * vec[j]
-            out.append(s)
+                x = vec.get(j)
+                if x is not None:
+                    s += a * x
+            if s:
+                out[i] = s
         return out
 
     @property
@@ -261,7 +252,7 @@ def rank(m: Mat) -> int:
 
 
 def kernel_basis(m: Mat) -> list:
-    """Basis of the right null space, as a list of column vectors.
+    """Basis of the right null space, as {index: value} vectors.
 
     Vectors are ordered by free column; each has a 1 in its free column.
     """
@@ -269,7 +260,8 @@ def kernel_basis(m: Mat) -> list:
 
 
 def null_space(rows, length: int, max_rank: int | None = None) -> list:
-    """Basis of {x : r·x = 0 for every row r}, as dense lists of ``length``.
+    """Basis of {x : r·x = 0 for every row r}, as {index: value} vectors
+    with indices below ``length``.
 
     Each row is a {index: value} dict of nonzero entries, consumed by the
     reduction.  Vectors are ordered by free index; each has a 1 in its free
@@ -282,9 +274,7 @@ def null_space(rows, length: int, max_rank: int | None = None) -> list:
     while tracker.dim != max_rank and (row := next(rows, None)) is not None:
         tracker._absorb(row)
     pivots = tracker._pivots
-    basis = {f: [0] * length for f in range(length) if f not in pivots}
-    for f, v in basis.items():
-        v[f] = 1
+    basis = {f: {f: 1} for f in range(length) if f not in pivots}
     for p, prow in pivots.items():  # reduced: its other entries are in free indices
         lead = prow[p]
         for f, x in prow.items():
@@ -311,10 +301,10 @@ class SpanTracker:
     zero in every other pivot column; add() reports whether the vector
     enlarged the span.  Pivot rows are primitive int rows (gcd 1, positive
     lead) and are not normalized to a leading 1; ``rref`` does that on
-    output.  A vector is a dense list of length ``length`` or a
-    Mat with rows * cols == length, read row-major.  Used wherever we only
-    need dimensions of large spanning sets without materializing one huge
-    matrix.
+    output.  A vector is an {index: value} dict with int indices in
+    [0, length), or a Mat with rows * cols == length, read row-major.  Used
+    wherever we only need dimensions of large spanning sets without
+    materializing one huge matrix.
     """
 
     def __init__(self, length: int):
@@ -326,13 +316,16 @@ class SpanTracker:
         return len(self._pivots)
 
     def _sparse(self, vec) -> dict:
+        """A fresh dict of the nonzero entries of vec, for ``_absorb`` to
+        consume; entries pass through ``exact``."""
         if isinstance(vec, Mat):
             if vec.rows * vec.cols != self.length:
                 raise ValueError("vector length mismatch")
             return {i * vec.cols + j: v for (i, j), v in vec.items()}
-        if len(vec) != self.length:
-            raise ValueError("vector length mismatch")
-        return _sparse_row(vec)
+        for j in vec:
+            if type(j) is not int or not 0 <= j < self.length:
+                raise ValueError(f"vector index {j!r} is not an int in [0, {self.length})")
+        return {j: q for j, x in vec.items() if (q := exact(x))}
 
     def _reduce(self, v: dict) -> dict:
         """v scaled to ints, then eliminated against the pivot rows until it

@@ -64,8 +64,11 @@ class GModule:
 @dataclass
 class IsotypicComponent:
     mu: Weight
-    multiplicity: int
-    hwv_basis: Mat  # columns: basis of the highest weight vectors
+    hwv_basis: list  # basis of the highest weight vectors, {index: value} dicts
+
+    @property
+    def multiplicity(self) -> int:
+        return len(self.hwv_basis)
 
 
 def standard_module(spec: LieAlgebraSpec) -> GModule:
@@ -157,55 +160,42 @@ def _carrier_weights(module: GModule) -> list:
     return [tuple(w) for w in weights]
 
 
-def weight_decomposition(module: GModule, basis_cols: Mat | None = None):
+def weight_decomposition(module: GModule, vectors=None):
     """Split a module (or a subspace spanned by weight vectors) into weight
     spaces.
 
-    Returns a list of (weight, column basis in carrier coordinates) in
-    ascending weight order.  The columns of each weight space are the given
-    columns of that weight in their given order (the unit columns when
-    ``basis_cols`` is None).  Relies on the carrier basis being a weight
-    basis; a column that mixes weights raises ValueError.
+    Returns a list of (weight, [vectors]) in ascending weight order, each
+    vector an {index: value} dict in carrier coordinates.  The vectors of
+    each weight space are the given ``vectors`` of that weight in their
+    given order (the unit vectors when ``vectors`` is None).  Relies on the
+    carrier basis being a weight basis; a vector that mixes weights raises
+    ValueError.
     """
     weights = _carrier_weights(module)
-    if basis_cols is None:
-        basis_cols = Mat.identity(module.dim)
-    columns = [{} for _ in range(basis_cols.cols)]
-    for (i, j), v in basis_cols.items():
-        columns[j][i] = v
+    if vectors is None:
+        vectors = ({i: 1} for i in range(module.dim))
     spaces: dict = {}
-    for j, col in enumerate(columns):
-        found = {weights[i] for i in col}
+    for j, v in enumerate(vectors):
+        found = {weights[i] for i in v}
         if len(found) != 1:
             raise ValueError(f"column {j} is not a weight vector: weights {sorted(found)}")
-        spaces.setdefault(found.pop(), []).append(col)
-    pieces = []
-    for wt, cols in sorted(spaces.items()):
-        entries = {(i, k): v for k, col in enumerate(cols) for i, v in col.items()}
-        pieces.append((wt, Mat.from_entries(module.dim, len(cols), entries)))
-    return pieces
+        spaces.setdefault(found.pop(), []).append(v)
+    return sorted(spaces.items())
 
 
-def _lowering_closure(module: GModule, seed_cols: Mat) -> Mat:
-    """Close a set of vectors under the lowering actions until stable."""
+def _lowering_closure(module: GModule, seeds) -> list:
+    """A basis of the span of the vectors ``seeds`` closed under the
+    lowering actions: the seeds that enlarge it, then breadth first each
+    lowered vector that does."""
     lowering = [module.actions[i] for i in module.spec.lowering_indices]
     tracker = SpanTracker(module.dim)
-    basis_vectors = []
-    frontier = []
-    for col in seed_cols.columns():
-        if tracker.add(col):
-            basis_vectors.append(col)
-            frontier.append(col)
+    basis = frontier = [v for v in seeds if tracker.add(v)]
     while frontier:
-        next_frontier = []
-        for v in frontier:
-            for low in lowering:
-                w = low.apply(v)
-                if any(w) and tracker.add(w):
-                    basis_vectors.append(w)
-                    next_frontier.append(w)
-        frontier = next_frontier
-    return Mat.from_columns(basis_vectors, module.dim)
+        frontier = [
+            w for v in frontier for low in lowering if (w := low.apply(v)) and tracker.add(w)
+        ]
+        basis = basis + frontier
+    return basis
 
 
 def build_irrep(spec: LieAlgebraSpec, lam: Weight, m: int) -> GModule:
@@ -234,12 +224,12 @@ def build_irrep(spec: LieAlgebraSpec, lam: Weight, m: int) -> GModule:
     if wspace is None:
         raise ValueError(f"weight {lam} does not occur in V^(x{m})")
     # with no raising action (gl(1)) every weight vector is highest
+    wspace = Mat.from_columns(wspace, ambient.dim)
     raised = stack_rows((ambient.actions[r] * wspace for r in spec.raising_indices), wspace.cols)
     ker = kernel_basis(raised)
     if not ker:
         raise ValueError(f"no highest weight vector of weight {lam} in V^(x{m})")
-    hwv = wspace.apply(ker[0])
-    basis_cols = _lowering_closure(ambient, Mat.from_columns([hwv], ambient.dim))
+    basis_cols = Mat.from_columns(_lowering_closure(ambient, [wspace.apply(ker[0])]), ambient.dim)
     # each action restricted to the invariant subspace spanned by basis_cols
     actions = [solve_columns(basis_cols, a * basis_cols) for a in ambient.actions]
     return GModule(spec, basis_cols.cols, actions, highest_weight=lam)
@@ -257,16 +247,14 @@ def isotypic_decompose(module: GModule):
         return []
     # with no raising action (gl(1)) every weight vector is highest
     ker = kernel_basis(stack_rows((module.actions[r] for r in spec.raising_indices), module.dim))
-    hwv_all = Mat.from_columns(ker, module.dim)
 
     components = []
     covered = 0
-    for wt, cols in weight_decomposition(module, hwv_all):
+    for wt, vectors in weight_decomposition(module, ker):
         if not is_dominant(spec, wt):
             raise RuntimeError(f"non-dominant highest weight {wt} found")
-        irrep = _lowering_closure(module, Mat.from_columns([cols.column(0)], module.dim))
-        components.append(IsotypicComponent(wt, cols.cols, cols))
-        covered += cols.cols * irrep.cols
+        components.append(IsotypicComponent(wt, vectors))
+        covered += len(vectors) * len(_lowering_closure(module, vectors[:1]))
     if covered != module.dim:
         raise RuntimeError("isotypic components do not exhaust the module")
     components.sort(key=lambda c: c.mu, reverse=True)
@@ -320,7 +308,7 @@ def commutant_basis(actions: list, carrier: GModule) -> list:
     unknown: dict = {}  # (p, q) of equal weight -> its index
     block_of: list = [None] * size
     for _, space in weight_decomposition(carrier):
-        block = [i for (i, _), _ in space.items()]  # the rows of its unit columns
+        block = [i for v in space for i in v]  # the indices of its unit vectors
         for p in block:
             block_of[p] = block
             for q in block:
@@ -328,7 +316,7 @@ def commutant_basis(actions: list, carrier: GModule) -> list:
     rows = (row for a in actions for row in _commutator_rows(a, unknown, block_of))
     pairs = list(unknown)
     return [
-        Mat.from_entries(size, size, {pairs[k]: x for k, x in enumerate(v) if x})
+        Mat.from_entries(size, size, {pairs[k]: x for k, x in v.items()})
         for v in null_space(rows, len(pairs), max_rank=len(pairs) - 1)
     ]
 

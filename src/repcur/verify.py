@@ -190,8 +190,8 @@ def casimir_scalar(spec: LieAlgebraSpec, mu):
         sum(spec.bracket[(h, r)].get(r, 0) for r in spec.raising_indices)
         for h in spec.cartan_indices
     ]
-    shifted = gram_inv.apply([m + r for m, r in zip(mu, two_rho)])
-    return sum(m * x for m, x in zip(mu, shifted))
+    shifted = [m + r for m, r in zip(mu, two_rho)]
+    return sum(mu[k] * x * shifted[l] for (k, l), x in gram_inv.items())
 
 
 @_check("casimir_formula")
@@ -229,7 +229,7 @@ def check_casimir_formula(em: EvaluationModule, p: Poly, q: Poly):
         scalar = w1 * z1 * c1 + w2 * z2 * c2 + Q(w1 * z2 + w2 * z1, 2) * (
             cmu - c1 - c2
         )
-        basis = _lowering_closure(em.carrier, comp.hwv_basis)
+        basis = Mat.from_columns(_lowering_closure(em.carrier, comp.hwv_basis), em.dim)
         if op * basis != basis.scale(scalar):
             ok = False
         observed.append(f"mu={comp.mu}: {scalar}")
@@ -341,12 +341,17 @@ def _slot_basis(em: EvaluationModule, cap: int) -> list:
     polynomials with the same span of value vectors give the same span of
     current images.  The nonzero rows of the rref of the monomial values at
     the distinct points, in order of first appearance, are interpolated
-    back to polynomials.  With cap = d − 1 on distinct points these are the
-    Lagrange indicators L_f(p_g) = δ_fg, each acting as one promoted factor
-    action; at coincident points the basis is the constant 1.
+    back to polynomials.  On k distinct points the values of 1, ..., t^(k−1)
+    already have full rank k (Vandermonde), so only the monomials up to
+    degree min(cap, k − 1) are reduced: every cap >= k − 1 gives the same
+    basis, in time independent of the cap.  With cap = d − 1 on distinct
+    points these are the Lagrange indicators L_f(p_g) = δ_fg, each acting
+    as one promoted factor action; at coincident points the basis is the
+    constant 1.
     """
     distinct = list(dict.fromkeys(em.points))
-    reduced, rank, _ = rref(Mat([[p**m for p in distinct] for m in range(cap + 1)]))
+    top = min(cap, len(distinct) - 1)
+    reduced, rank, _ = rref(Mat([[p**m for p in distinct] for m in range(top + 1)]))
     return [
         lagrange_interpolant(distinct, [reduced[i, g] for g in range(len(distinct))])
         for i in range(rank)
@@ -382,7 +387,7 @@ def _hwv_frame(em: EvaluationModule):
     the row read-off ``select · C · H``, with no solve.
     """
     comps = isotypic_decompose(em.carrier)
-    hwv = Mat.from_columns([c for comp in comps for c in comp.hwv_basis.columns()], em.dim)
+    hwv = Mat.from_columns([v for comp in comps for v in comp.hwv_basis], em.dim)
     # column j -> a row of hwv that is 1 in column j and 0 elsewhere
     unit = {next(iter(row)): i for i, row in enumerate(hwv.data) if list(row.values()) == [1]}
     if len(unit) != hwv.cols:

@@ -7,6 +7,7 @@ compiled tensor, so it does not share the code paths it checks.
 from repcur.currents import InvariantTensor
 from repcur.linalg import Mat, lincomb
 from repcur.poly import Poly
+from repcur.rational import Q
 
 
 def reference_image(theta, polys, em) -> Mat:
@@ -72,3 +73,9 @@ def span_contains(tracker, vec) -> bool:
 def scaled(theta, c) -> InvariantTensor:
     """c · θ, term by term, with the zero terms dropped."""
     return InvariantTensor(theta.k, tuple((c * a, idx) for a, idx in theta.terms if c * a))
+
+
+def is_vector(v) -> bool:
+    """The library's vector invariant: an {index: value} dict whose values
+    are nonzero and each an int or a ``Q``."""
+    return isinstance(v, dict) and all(x and type(x) in (int, Q) for x in v.values())

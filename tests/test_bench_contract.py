@@ -1,13 +1,16 @@
 """The benchmark's tracer (perfbench/spans.py) patches repcur functions and
-methods by name.  A rename in the library must fail here, not only in the
+methods by name, and its observers read their arguments.  A rename or a
+changed argument in the library must fail here, not only in the
 benchmark."""
 
+import dataclasses
 import importlib
 import importlib.util
 import sys
 from pathlib import Path
 
 import repcur  # noqa: F401  (loads every repcur module the tracer patches)
+from repcur import liealg, modules, verify
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -52,3 +55,25 @@ def test_traced_names_resolve_and_are_restored():
     assert after.keys() == before.keys()
     assert [key for key, v in before.items() if after[key] is not v] == []
     assert [key for key, fn in methods.items() if vars(key[0])[key[1]] is not fn] == []
+
+
+def _traced_run():
+    """The quick sweep's reports, without ``runtime_ms``, and one irrep.
+    Library functions are called through their modules, where the tracer
+    replaces them."""
+    reports = [dataclasses.asdict(r) for r in verify.run_acceptance_suite(0, "quick")]
+    for r in reports:
+        r.pop("runtime_ms")
+    irrep = modules.build_irrep(liealg.build_lie_algebra(liealg.GL, 2), (2, 1), 3)
+    return reports, (irrep.dim, irrep.actions)
+
+
+def test_traced_run_matches_untraced_and_calls_every_layer():
+    spans = _load_spans()
+    untraced = _traced_run()
+    with spans.Tracer() as tracer:
+        traced = _traced_run()
+    assert traced == untraced
+    calls, _ = tracer.layer_stats()
+    assert [name for name in spans.span_names() if not calls[name]] == []
+    assert tracer.rref_max_cells > 0 and tracer.span_kept > 0 and tracer.basis_distinct > 0

@@ -189,6 +189,18 @@ def test_auto_degree_cap_is_d_minus_1(runner, args, d):
     assert json.loads(res.output)["config"]["degree_cap"] == d - 1
 
 
+def test_a_huge_degree_cap_gives_the_auto_result(runner):
+    """Caps past d − 1 give the slot basis of d − 1, so a cap of 10**6
+    costs no more than auto; the config keeps the cap asked for."""
+    args = ["verify", "span", "--points", "0,1,7/3", "-o", "-"]
+    auto = json.loads(invoke(runner, args).output)
+    res = invoke(runner, args + ["--degree-cap", str(10**6)])
+    assert res.exit_code == 0
+    huge = json.loads(res.output)
+    assert huge["config"]["degree_cap"] == 10**6
+    assert [c["actual"] for c in huge["checks"]] == [c["actual"] for c in auto["checks"]]
+
+
 def test_usage_errors_exit_2(runner):
     cases = [
         ["verify", "casimir", "--weights", "0,2"],  # not dominant

@@ -19,11 +19,16 @@ from repcur.linalg import (
 )
 from repcur.rational import ONE, Q, ZERO, exact
 
-from reference import span_contains
+from reference import is_vector, span_contains
 
 
 def mat(rows):
     return Mat(rows)
+
+
+def as_vector(values):
+    """The {index: value} vector of the nonzero entries of a dense list."""
+    return {j: x for j, x in enumerate(values) if x}
 
 
 small_mats = st.lists(
@@ -71,7 +76,7 @@ def test_rank_nullity(rows):
 def test_kernel_vectors_annihilate():
     m = mat([[1, 2, 3], [4, 5, 6]])
     for v in kernel_basis(m):
-        assert all(x == 0 for x in m.apply(v))
+        assert m.apply(v) == {}
 
 
 @settings(max_examples=40, deadline=None)
@@ -82,14 +87,14 @@ def test_kernel_is_read_off_the_rref(rows):
     r, _, pivots = rref(m)
     want = []
     for f in (j for j in range(3) if j not in pivots):
-        v = [0] * 3
-        v[f] = 1
+        v = {f: 1}
         for i, p in enumerate(pivots):
-            v[p] = -r[i, f]
+            if r[i, f]:
+                v[p] = -r[i, f]
         want.append(v)
     got = kernel_basis(m)
     assert got == want
-    assert all(type(x) is int or x.denominator != 1 for v in got for x in v)
+    assert all(type(x) is int or x.denominator != 1 for v in got for x in v.values())
 
 
 def test_null_space_reads_no_row_past_the_rank_bound():
@@ -97,9 +102,9 @@ def test_null_space_reads_no_row_past_the_rank_bound():
         yield from given
         raise AssertionError("read a row past the rank bound")
 
-    assert null_space(rows({0: 1, 1: -1}, {1: 2, 2: -2}), 3, max_rank=2) == [[1, 1, 1]]
-    assert null_space(rows(), 2, max_rank=0) == [[1, 0], [0, 1]]
-    assert null_space([{0: Q(1, 2), 1: 3}], 2) == [[-6, 1]]
+    assert null_space(rows({0: 1, 1: -1}, {1: 2, 2: -2}), 3, max_rank=2) == [{0: 1, 1: 1, 2: 1}]
+    assert null_space(rows(), 2, max_rank=0) == [{0: 1}, {1: 1}]
+    assert null_space([{0: Q(1, 2), 1: 3}], 2) == [{0: -6, 1: 1}]
 
 
 def test_inverse_round_trip():
@@ -117,12 +122,28 @@ def test_solve_columns():
 
 def test_span_tracker():
     t = SpanTracker(3)
-    assert t.add([Q(1), Q(0), Q(0)])
-    assert t.add([Q(1), Q(1), Q(0)])
-    assert not t.add([Q(2), Q(1), Q(0)])
+    assert t.add({0: Q(1)})
+    assert t.add({0: Q(1), 1: Q(1)})
+    assert not t.add({0: Q(2), 1: Q(1)})
     assert t.dim == 2
-    assert span_contains(t, [Q(5), Q(-3), Q(0)])
-    assert not span_contains(t, [Q(0), Q(0), Q(1)])
+    assert span_contains(t, {0: Q(5), 1: Q(-3)})
+    assert not span_contains(t, {2: Q(1)})
+
+
+def test_span_tracker_validates_vectors():
+    """An index that is not an int in [0, length) raises like a length
+    mismatch; entries pass through ``exact``, so a float raises and a zero
+    is dropped."""
+    t = SpanTracker(3)
+    for index in (3, -1, Q(1, 2), True):
+        with pytest.raises(ValueError, match=r"not an int in \[0, 3\)"):
+            t.add({index: 1})
+    with pytest.raises(TypeError):
+        t.add({0: 0.5})
+    assert not t.add({1: 0, 2: Q(0)}) and t.dim == 0
+    v = {0: 1, 1: 0}
+    assert t.add(v) and t._pivots == {0: {0: 1}}
+    assert v == {0: 1, 1: 0}  # the caller's dict is not consumed
 
 
 def test_span_dimension_of_matrices():
@@ -281,7 +302,7 @@ def test_sparse_rref_and_kernel_match_dense_reference(ref):
     want, want_pivots = ref_rref(rows, c)
     assert dense(r) == want
     assert pivots == want_pivots and rk == len(want_pivots)
-    assert kernel_basis(m) == ref_kernel(rows, c)
+    assert kernel_basis(m) == [as_vector(v) for v in ref_kernel(rows, c)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -312,9 +333,9 @@ def test_span_tracker_matches_dense_rank(data):
     for v in vectors:
         rank_before = len(ref_rref(seen, n)[1])
         seen.append(v)
-        assert t.add(v) == (len(ref_rref(seen, n)[1]) > rank_before)
+        assert t.add(as_vector(v)) == (len(ref_rref(seen, n)[1]) > rank_before)
         assert t.dim == len(ref_rref(seen, n)[1])
-    assert span_contains(t, probe) == (len(ref_rref(seen + [probe], n)[1]) == t.dim)
+    assert span_contains(t, as_vector(probe)) == (len(ref_rref(seen + [probe], n)[1]) == t.dim)
 
 
 @settings(max_examples=40, deadline=None)
@@ -322,7 +343,7 @@ def test_span_tracker_matches_dense_rank(data):
 def test_span_tracker_reads_matrices_row_major(ref):
     m = build(ref)
     t, u = SpanTracker(6), SpanTracker(6)
-    assert t.add(m) == u.add([x for row in ref[0] for x in row])
+    assert t.add(m) == u.add(as_vector([x for row in ref[0] for x in row]))
     assert span_contains(t, m) and span_contains(u, m)
     with pytest.raises(ValueError):
         t.add(Mat.zeros(3, 3))
@@ -338,8 +359,7 @@ def test_explicit_zeros_do_not_change_equality_or_hash(ref):
     assert with_zeros == without == build(ref)
     assert hash(with_zeros) == hash(without)
     assert all(v for _, v in with_zeros.items())
-    if r and c:
-        assert Mat.from_columns(list(map(list, zip(*rows))), r) == without
+    assert Mat.from_columns(without.transpose().data, r) == without
 
 
 def test_algebra_closure_rejects_a_basis_longer_than_size_squared(monkeypatch):
@@ -403,8 +423,12 @@ def test_mixed_int_and_rational_entries_match_all_rational(data):
     assert (rk, pa) == (rkq, pq)
     ka, kq = kernel_basis(a), kernel_basis(qa)
     assert ka == kq
-    assert_no_floats(*ka, *kq)
-    assert all(type(x) is int or x.denominator != 1 for v in ka for x in v)
+    assert all(map(is_vector, ka + kq))
+    assert all(type(x) is int or x.denominator != 1 for v in ka for x in v.values())
+    images = [a.apply(v) for v in m.transpose().data + ka]
+    assert all(map(is_vector, images))
+    assert Mat.from_columns(images[:k], r) == a * m
+    assert not any(images[k:])
     if r and c:
         try:
             x = solve_columns(a, b)
@@ -496,7 +520,7 @@ def test_wide_entries_match_dense_reference(data):
     want, want_pivots = ref_rref(as_ref(rows), c)
     assert dense(r) == want
     assert pivots == want_pivots and rk == len(want_pivots)
-    assert kernel_basis(m) == ref_kernel(as_ref(rows), c)
+    assert kernel_basis(m) == [as_vector(v) for v in ref_kernel(as_ref(rows), c)]
 
     if rows:
         k = data.draw(st.integers(0, 2))
@@ -510,14 +534,14 @@ def test_wide_entries_match_dense_reference(data):
     t = SpanTracker(c)
     for i, row in enumerate(rows):
         rank_before = t.dim
-        assert t.add(row) == (len(ref_rref(as_ref(rows[: i + 1]), c)[1]) > rank_before)
+        assert t.add(as_vector(row)) == (len(ref_rref(as_ref(rows[: i + 1]), c)[1]) > rank_before)
         assert_primitive_pivots(t)
     assert t.dim == rk
     probe = data.draw(wide_rows(c, max_rows=1)) or [[0] * c]
     coeffs = [data.draw(wide) for _ in rows]
     inside = [sum((a * row[j] for a, row in zip(coeffs, rows)), 0) for j in range(c)]
-    assert span_contains(t, inside)
-    grows = not span_contains(t, probe[0])
+    assert span_contains(t, as_vector(inside))
+    grows = not span_contains(t, as_vector(probe[0]))
     assert grows == (len(ref_rref(as_ref(rows + probe), c)[1]) > rk)
-    assert t.add(probe[0]) == grows and t.dim == rk + grows
+    assert t.add(as_vector(probe[0])) == grows and t.dim == rk + grows
     assert_primitive_pivots(t)

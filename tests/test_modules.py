@@ -4,6 +4,7 @@ import dataclasses
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repcur import modules
 from repcur.currents import EvaluationModule
@@ -23,7 +24,7 @@ from repcur.modules import (
 from repcur.poly import Poly
 from repcur.rational import Q
 
-from reference import casimir_eigenvalue, check_bracket_compatibility, span_contains
+from reference import casimir_eigenvalue, check_bracket_compatibility, is_vector, span_contains
 
 
 @pytest.fixture(scope="module")
@@ -69,7 +70,7 @@ def test_one_factor_tensor_module_keeps_the_factor_actions(gl2, sp2):
 def test_weight_decomposition_of_tensor_square(gl2):
     v = standard_module(gl2)
     spaces = weight_decomposition(tensor_module([v, v]))
-    got = sorted((w, cols.cols) for w, cols in spaces)
+    got = sorted((w, len(vectors)) for w, vectors in spaces)
     assert got == [((0, 2), 1), ((1, 1), 2), ((2, 0), 1)]
 
 
@@ -121,7 +122,7 @@ def test_weight_decomposition_needs_a_diagonal_cartan(gl2):
 def test_weight_decomposition_rejects_a_column_that_mixes_weights(gl2):
     v = standard_module(gl2)
     with pytest.raises(ValueError, match="column 1 is not a weight vector"):
-        weight_decomposition(v, Mat([[1, 1], [0, 1]]))
+        weight_decomposition(v, [{0: 1}, {0: 1, 1: 1}])
 
 
 @pytest.mark.parametrize(
@@ -137,7 +138,7 @@ def test_weight_decomposition_pins(family, n, factors, spaces):
     module = tensor_module(
         [standard_module(spec) if lam is None else build_irrep(spec, lam, sum(lam)) for lam in factors]
     )
-    assert [(w, cols.cols) for w, cols in weight_decomposition(module)] == spaces
+    assert [(w, len(vectors)) for w, vectors in weight_decomposition(module)] == spaces
 
 
 def test_weights_are_ints(gl2):
@@ -197,7 +198,27 @@ def test_isotypic_decomposition_tensor_square(gl2):
     module = tensor_module([v, v])
     comps = isotypic_decompose(module)
     assert [(c.mu, c.multiplicity) for c in comps] == [((2, 0), 1), ((1, 1), 1)]
-    assert sum(_lowering_closure(module, c.hwv_basis).cols for c in comps) == 4
+    assert sum(len(_lowering_closure(module, c.hwv_basis)) for c in comps) == 4
+
+
+_CUBE = tensor_module([standard_module(build_lie_algebra(GL, 2))] * 3)
+_entries = st.integers(1, 3) | st.integers(-3, -1) | st.builds(
+    Q, st.integers(-3, 3).filter(bool), st.integers(2, 3)
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.dictionaries(st.integers(0, _CUBE.dim - 1), _entries, min_size=1), max_size=3))
+def test_lowering_closure_keeps_the_vector_invariant(seeds):
+    """From any seed vectors the closure is a basis of a lowering-stable
+    space, and its vectors store no zero and hold only ints and Qs."""
+    basis = _lowering_closure(_CUBE, seeds)
+    assert all(map(is_vector, basis))
+    span = SpanTracker(_CUBE.dim)
+    assert all(span.add(v) for v in basis)
+    assert all(span_contains(span, v) for v in seeds)
+    lowering = [_CUBE.actions[i] for i in _CUBE.spec.lowering_indices]
+    assert all(span_contains(span, low.apply(v)) for v in basis for low in lowering)
 
 
 def test_isotypic_decompose_raises_when_components_do_not_exhaust(gl2):
@@ -272,7 +293,7 @@ def test_commutant_basis_against_the_isotypic_multiplicities(family, n, factors)
     basis = commutant_basis(module.actions, module)
     mults = sum(c.multiplicity**2 for c in isotypic_decompose(module))
     assert len(basis) == commutant_dimension(module) == mults
-    weight = {i: w for w, cols in weight_decomposition(module) for (i, _), _ in cols.items()}
+    weight = {i: w for w, vectors in weight_decomposition(module) for v in vectors for i in v}
     span = SpanTracker(module.dim**2)
     for m in basis:
         assert all(weight[p] == weight[q] for (p, q), _ in m.items())
@@ -328,4 +349,5 @@ def test_so_isotypic_multiplicities(n, d, mults):
     module = tensor_module([v] * d)
     comps = isotypic_decompose(module)
     assert [(c.mu, c.multiplicity) for c in comps] == mults
-    assert sum(_lowering_closure(module, c.hwv_basis).cols for c in comps) == n**d
+    assert all(is_vector(v) for c in comps for v in c.hwv_basis)
+    assert sum(len(_lowering_closure(module, c.hwv_basis)) for c in comps) == n**d

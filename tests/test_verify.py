@@ -436,6 +436,18 @@ def test_slot_basis_spans_the_monomials_on_the_points(gl2, points, cap):
     assert rank(Mat(on_points + monomials_on_points)) == len(basis)
 
 
+def test_slot_basis_reduces_at_most_one_row_per_distinct_point(gl2, monkeypatch):
+    """On k distinct points the monomials past t^(k−1) add no rank, so a
+    huge cap reduces k rows and gives the basis of cap k − 1."""
+    em = EvaluationModule([standard_module(gl2)] * 3, [Q(0), Q(1), Q(7, 3)])
+    shapes = []
+    rref = verify.rref
+    monkeypatch.setattr(verify, "rref", lambda m: shapes.append(m.shape) or rref(m))
+    assert verify._slot_basis(em, 10**4) == verify._slot_basis(em, 2)
+    assert verify.evaluation_commutant_dimension(em, 10**4) == 1
+    assert shapes and all(rows <= 3 for rows, _ in shapes)
+
+
 def _recording_closures(monkeypatch):
     """Patch the closure to record, per call, the number of generators and
     the dimension of the algebra returned."""
