@@ -17,6 +17,7 @@ raise and lower triangular ones lower.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .linalg import Mat, inverse, lincomb
 from .rational import ONE
@@ -52,6 +53,20 @@ class LieAlgebraSpec:
     @property
     def dim(self) -> int:
         return len(self.basis)
+
+    @cached_property
+    def generator_indices(self) -> tuple:
+        """The Cartan indices, then the simple raising and the simple
+        lowering ones: the Chevalley generators, which generate the algebra
+        under brackets.  A raising index is simple when it occurs in no
+        bracket of two raising elements, and likewise a lowering one; this
+        finds the root e_{m-1} + e_m of so(2m) too, off the superdiagonal."""
+
+        def simple(indices):
+            made = {k for a in indices for b in indices for k in self.bracket[(a, b)]}
+            return tuple(i for i in indices if i not in made)
+
+        return self.cartan_indices + simple(self.raising_indices) + simple(self.lowering_indices)
 
     def coords(self, x: Mat) -> list:
         """Coordinates of x in the basis; errors if x is outside the algebra.

@@ -182,19 +182,6 @@ class Mat:
             raise ValueError("trace of non-square matrix")
         return sum(r.get(i, 0) for i, r in enumerate(self.data))
 
-    def apply(self, vec: dict) -> dict:
-        """Matrix times an {index: value} column vector, as such a vector."""
-        out = {}
-        for i, row in enumerate(self.data):
-            s = 0
-            for j, a in row.items():
-                x = vec.get(j)
-                if x is not None:
-                    s += a * x
-            if s:
-                out[i] = s
-        return out
-
     @property
     def shape(self):
         return (self.rows, self.cols)
@@ -221,6 +208,17 @@ def lincomb(terms, rows: int, cols: int) -> Mat:
         for arow, mrow in zip(acc, m.data):
             _axpy(arow, c, mrow)
     return Mat._of(rows, cols, acc)
+
+
+def combine(coeffs: dict, vectors) -> dict:
+    """Σ_j coeffs[j]·vectors[j] as an {index: value} vector, for the
+    vector ``coeffs`` and indexable {index: value} ``vectors``: a matrix
+    times ``coeffs`` when ``vectors`` are its columns (the rows of its
+    transpose), reading only the columns in the support of ``coeffs``."""
+    out: dict = {}
+    for j, c in coeffs.items():
+        _axpy(out, c, vectors[j])
+    return out
 
 
 def rref(m: Mat):

@@ -9,7 +9,8 @@ realizations all have a Cartan that is diagonal in the standard basis.
 Every module built here has a basis of weight vectors: the Cartan acts
 diagonally, with integer entries, on the carrier.  Weights are read off
 those diagonals, so weight spaces, isotypic splitting and the commutant's
-block structure need no eigenvalue search.
+blocks (the joint eigenspaces of the diagonal actions) need no eigenvalue
+search.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .liealg import GL, SO, LieAlgebraSpec
 from .linalg import (
     Mat,
     SpanTracker,
+    combine,
     kernel_basis,
     lincomb,
     null_space,
@@ -87,14 +89,14 @@ def _promote(a: Mat, dims: list, factor: int) -> Mat:
         post *= d
     df = dims[factor]
     total = pre * df * post
-    entries = {}
+    data = [{} for _ in range(total)]
     for (r, c), v in a.items():
         for p in range(pre):
             base_r = (p * df + r) * post
             base_c = (p * df + c) * post
             for q in range(post):
-                entries[(base_r + q, base_c + q)] = v
-    return Mat.from_entries(total, total, entries)
+                data[base_r + q][base_c + q] = v
+    return Mat._of(total, total, data)
 
 
 def _capped_dimension(dims) -> int:
@@ -186,13 +188,14 @@ def weight_decomposition(module: GModule, vectors=None):
 def _lowering_closure(module: GModule, seeds) -> list:
     """A basis of the span of the vectors ``seeds`` closed under the
     lowering actions: the seeds that enlarge it, then breadth first each
-    lowered vector that does."""
-    lowering = [module.actions[i] for i in module.spec.lowering_indices]
+    lowered vector that does.  Each lowering action is transposed once, so
+    lowering a vector reads only the columns in its support."""
+    lowering = [module.actions[i].transpose().data for i in module.spec.lowering_indices]
     tracker = SpanTracker(module.dim)
     basis = frontier = [v for v in seeds if tracker.add(v)]
     while frontier:
         frontier = [
-            w for v in frontier for low in lowering if (w := low.apply(v)) and tracker.add(w)
+            w for v in frontier for low in lowering if (w := combine(v, low)) and tracker.add(w)
         ]
         basis = basis + frontier
     return basis
@@ -220,16 +223,17 @@ def build_irrep(spec: LieAlgebraSpec, lam: Weight, m: int) -> GModule:
 
     _capped_dimension(itertools.repeat(spec.matrix_size, m))
     ambient = tensor_module([standard_module(spec)] * m)
-    wspace = dict(weight_decomposition(ambient)).get(lam)
-    if wspace is None:
+    vectors = dict(weight_decomposition(ambient)).get(lam)
+    if vectors is None:
         raise ValueError(f"weight {lam} does not occur in V^(x{m})")
     # with no raising action (gl(1)) every weight vector is highest
-    wspace = Mat.from_columns(wspace, ambient.dim)
+    wspace = Mat.from_columns(vectors, ambient.dim)
     raised = stack_rows((ambient.actions[r] * wspace for r in spec.raising_indices), wspace.cols)
     ker = kernel_basis(raised)
     if not ker:
         raise ValueError(f"no highest weight vector of weight {lam} in V^(x{m})")
-    basis_cols = Mat.from_columns(_lowering_closure(ambient, [wspace.apply(ker[0])]), ambient.dim)
+    hwv = combine(ker[0], vectors)
+    basis_cols = Mat.from_columns(_lowering_closure(ambient, [hwv]), ambient.dim)
     # each action restricted to the invariant subspace spanned by basis_cols
     actions = [solve_columns(basis_cols, a * basis_cols) for a in ambient.actions]
     return GModule(spec, basis_cols.cols, actions, highest_weight=lam)
@@ -265,11 +269,11 @@ def isotypic_decompose(module: GModule):
 
 
 def _commutator_rows(a: Mat, unknown: dict, block_of: list):
-    """The conditions [M, a] = 0 on the entries of a weight-preserving M:
-    per position (i, j), Σ_{q≈i} a[q, j]·m_iq − Σ_{p≈j} a[i, p]·m_pj, as a
+    """The conditions [M, a] = 0 on the entries of a block-diagonal M: per
+    position (i, j), Σ_{q≈i} a[q, j]·m_iq − Σ_{p≈j} a[i, p]·m_pj, as a
     {unknown index: coefficient} dict, read off the rows of ``a`` with no
-    matrix product.  ``unknown`` numbers the pairs (p, q) of equal weight
-    and ``block_of[i]`` lists the carrier indices of i's weight."""
+    matrix product.  ``unknown`` numbers the pairs (p, q) in one block and
+    ``block_of[i]`` lists the carrier indices of i's block."""
     rows: dict = {}
     for q, arow in enumerate(a.data):  # the m_iq a[q, j] of (M a)[i, j]
         for i in block_of[q]:
@@ -287,16 +291,19 @@ def _commutator_rows(a: Mat, unknown: dict, block_of: list):
 
 
 def commutant_basis(actions: list, carrier: GModule) -> list:
-    """Basis of {M : [M, A] = 0 for every A in actions}.
+    """Basis of {M : [M, A] = 0 for every A in actions}, for any actions on
+    the ``carrier``.
 
-    ``carrier`` is the g-module the actions act on, and its g-action must be
-    among them.  A commuting M preserves every weight space, and the carrier
-    basis is a weight basis, so the unknowns are the N entries m_pq with p
-    and q of equal weight.  Every action contributes one condition per
-    position of [M, A] = 0 (``_commutator_rows``), and one reduction solves
-    them all.  It stops at rank N − 1: the identity always commutes, so the
-    solutions are then its multiples, which ends every irreducible case
-    early.
+    A diagonal action D gives m_pq (D[q, q] − D[p, p]) = 0, so M is block
+    diagonal on the joint eigenspaces of the diagonal actions: the unknowns
+    are the entries m_pq with p and q in one block, blocks taken in
+    ascending order of their tuple of eigenvalues (the weight, for the
+    Cartan of a g-action), and the diagonal actions add no further
+    condition.  Every other action contributes one condition per position
+    of [M, A] = 0 (``_commutator_rows``), and one reduction solves them
+    all.  It stops at rank N − 1 for N unknowns: the identity always
+    commutes, so the solutions are then its multiples, which ends every
+    irreducible case early.
     """
     if not actions:
         raise ValueError("commutant of an empty action list is everything")
@@ -305,15 +312,20 @@ def commutant_basis(actions: list, carrier: GModule) -> list:
         if a.shape != (size, size):
             raise ValueError(f"action of shape {a.shape} on a carrier of dimension {size}")
 
-    unknown: dict = {}  # (p, q) of equal weight -> its index
+    diagonal, others = [], []
+    for a in actions:
+        (diagonal if all(row.keys() <= {i} for i, row in enumerate(a.data)) else others).append(a)
+    blocks: dict = {}  # tuple of diagonal entries -> the carrier indices with it
+    for i in range(size):
+        blocks.setdefault(tuple(d.data[i].get(i, 0) for d in diagonal), []).append(i)
+    unknown: dict = {}  # (p, q) in one block -> its index
     block_of: list = [None] * size
-    for _, space in weight_decomposition(carrier):
-        block = [i for v in space for i in v]  # the indices of its unit vectors
+    for _, block in sorted(blocks.items()):
         for p in block:
             block_of[p] = block
             for q in block:
                 unknown[p, q] = len(unknown)
-    rows = (row for a in actions for row in _commutator_rows(a, unknown, block_of))
+    rows = (row for a in others for row in _commutator_rows(a, unknown, block_of))
     pairs = list(unknown)
     return [
         Mat.from_entries(size, size, {pairs[k]: x for k, x in v.items()})
@@ -322,5 +334,8 @@ def commutant_basis(actions: list, carrier: GModule) -> list:
 
 
 def commutant_dimension(module: GModule) -> int:
-    """dim {M : [M, action(x)] = 0 for all basis x}."""
-    return len(commutant_basis(module.actions, carrier=module))
+    """dim {M : [M, action(x)] = 0 for all basis x}.  Only the generators
+    (``LieAlgebraSpec.generator_indices``) are imposed: by Jacobi, M
+    commutes with [A, B] when it commutes with A and B."""
+    gens = [module.actions[b] for b in module.spec.generator_indices]
+    return len(commutant_basis(gens, carrier=module))

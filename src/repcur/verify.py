@@ -42,7 +42,7 @@ from .modules import (
     isotypic_decompose,
     standard_module,
 )
-from .poly import Poly, lagrange_interpolant
+from .poly import Poly
 from .rational import Q
 
 
@@ -154,11 +154,15 @@ def check_ad_invariance_family(spec: LieAlgebraSpec, k: int):
 
 
 def _noncommuting_basis_element(op: Mat, em: EvaluationModule):
-    """First basis element y with [y, op] != 0 on the module, or None."""
-    for y, action in enumerate(em.carrier.actions):
-        if not action.commutator(op).is_zero():
-            return y
-    return None
+    """First basis element y with [y, op] != 0 on the module, or None.
+
+    An op that commutes with the generators (``generator_indices``)
+    commutes with all of g, by Jacobi, so only they are checked while op
+    passes; once one fails, every basis element is scanned in order."""
+    actions = em.carrier.actions
+    if all(actions[y].commutator(op).is_zero() for y in em.spec.generator_indices):
+        return None
+    return next(y for y, action in enumerate(actions) if not action.commutator(op).is_zero())
 
 
 @_check("commutant")
@@ -339,23 +343,25 @@ def _slot_basis(em: EvaluationModule, cap: int) -> list:
 
     The action b(P) depends on P only through its values P(p_i), so any
     polynomials with the same span of value vectors give the same span of
-    current images.  The nonzero rows of the rref of the monomial values at
-    the distinct points, in order of first appearance, are interpolated
-    back to polynomials.  On k distinct points the values of 1, ..., t^(k−1)
+    current images.  The slot polynomials have as values the nonzero rows
+    of the rref of the monomial values at the distinct points, in order of
+    first appearance.  On k distinct points the values of 1, ..., t^(k−1)
     already have full rank k (Vandermonde), so only the monomials up to
-    degree min(cap, k − 1) are reduced: every cap >= k − 1 gives the same
-    basis, in time independent of the cap.  With cap = d − 1 on distinct
-    points these are the Lagrange indicators L_f(p_g) = δ_fg, each acting
-    as one promoted factor action; at coincident points the basis is the
-    constant 1.
+    degree top = min(cap, k − 1) are reduced: every cap >= k − 1 gives the
+    same basis, in time independent of the cap.  Those values have full
+    row rank, so one rref of [values | I] carries along, in its right
+    block, each reduced row's combination of the monomials: the slot
+    polynomial's coefficients, of degree <= top < k, hence its Lagrange
+    interpolant.  With cap = d − 1 on distinct points these are the
+    Lagrange indicators L_f(p_g) = δ_fg, each acting as one promoted
+    factor action; at coincident points the basis is the constant 1.
     """
     distinct = list(dict.fromkeys(em.points))
-    top = min(cap, len(distinct) - 1)
-    reduced, rank, _ = rref(Mat([[p**m for p in distinct] for m in range(top + 1)]))
-    return [
-        lagrange_interpolant(distinct, [reduced[i, g] for g in range(len(distinct))])
-        for i in range(rank)
-    ]
+    k = len(distinct)
+    top = min(cap, k - 1)
+    values = [[p**m for p in distinct] + [0] * m + [1] + [0] * (top - m) for m in range(top + 1)]
+    reduced, rank, _ = rref(Mat(values))
+    return [Poly([reduced[i, k + m] for m in range(top + 1)]) for i in range(rank)]
 
 
 def _slot_stages(em: EvaluationModule, tensors, cap: int):
@@ -530,11 +536,13 @@ def check_cycle_generation(em: EvaluationModule, degree_cap=None):
 def evaluation_commutant_dimension(em: EvaluationModule, degree_cap=None) -> int:
     """dim of the commutant of the full g[t]-action (degrees up to the cap).
 
-    The actions are taken on the slot basis of the cap (``_slot_basis``),
-    whose value vectors span those of the monomials, so the commutant is
-    the same."""
+    The actions are b(P) for the generators b (``generator_indices``) and
+    the P of the slot basis of the cap (``_slot_basis``), whose value
+    vectors span those of the monomials.  Their span contains the constant
+    1, and [x(P), y(1)] = [x, y](P), so by Jacobi a matrix commuting with
+    them commutes with every x(P) of degree up to the cap."""
     basis = _slot_basis(em, _default_cap(em, degree_cap))
-    actions = [em.basis_action(b, poly) for b in range(em.spec.dim) for poly in basis]
+    actions = [em.basis_action(b, poly) for b in em.spec.generator_indices for poly in basis]
     return len(commutant_basis(actions, em.carrier))
 
 

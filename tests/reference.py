@@ -5,8 +5,8 @@ compiled tensor, so it does not share the code paths it checks.
 """
 
 from repcur.currents import InvariantTensor
-from repcur.linalg import Mat, lincomb
-from repcur.poly import Poly
+from repcur.linalg import Mat, SpanTracker, lincomb, null_space, rref
+from repcur.poly import Poly, lagrange_interpolant
 from repcur.rational import Q
 
 
@@ -79,3 +79,72 @@ def is_vector(v) -> bool:
     """The library's vector invariant: an {index: value} dict whose values
     are nonzero and each an int or a ``Q``."""
     return isinstance(v, dict) and all(x and type(x) in (int, Q) for x in v.values())
+
+
+def commutant_basis_by_weight(actions, carrier) -> list:
+    """Basis of {M : [M, A] = 0 for every A in ``actions``}, solved in the
+    entries m_pq with p and q of equal total weight, read off the Cartan
+    actions of the g-module ``carrier``, with one equation per action and
+    matrix position.  Unknowns are numbered by ascending weight, then p,
+    then q.  Column (p, q) of the system is E_pq A − A E_pq: row q of A in
+    row p, minus column p of A in column q."""
+    n = carrier.dim
+    weight = [tuple(carrier.actions[h][i, i] for h in carrier.spec.cartan_indices) for i in range(n)]
+    pairs = sorted(
+        ((p, q) for p in range(n) for q in range(n) if weight[p] == weight[q]),
+        key=lambda pq: (weight[pq[0]], pq),
+    )
+    rows: dict = {}  # (action, i, j) -> {unknown: coefficient}
+    for a_index, a in enumerate(actions):
+        columns = a.transpose().data
+        for k, (p, q) in enumerate(pairs):
+            for j, x in a.data[q].items():
+                row = rows.setdefault((a_index, p, j), {})
+                row[k] = row.get(k, 0) + x
+            for i, x in columns[p].items():
+                row = rows.setdefault((a_index, i, q), {})
+                row[k] = row.get(k, 0) - x
+    equations = ({k: x for k, x in row.items() if x} for row in rows.values())
+    return [
+        Mat.from_entries(n, n, {pairs[k]: x for k, x in v.items()})
+        for v in null_space(equations, len(pairs))
+    ]
+
+
+def apply_by_rows(m, vec) -> dict:
+    """m times the {index: value} vector ``vec``, row by row: entry i is
+    the sum over row i of m."""
+    out = {}
+    for i, row in enumerate(m.data):
+        s = sum(a * vec[j] for j, a in row.items() if j in vec)
+        if s:
+            out[i] = s
+    return out
+
+
+def lowering_closure_by_rows(module, seeds) -> list:
+    """The lowering closure of ``seeds`` breadth first, as
+    ``modules._lowering_closure``, each lowered vector computed row by row
+    (``apply_by_rows``)."""
+    lowering = [module.actions[i] for i in module.spec.lowering_indices]
+    tracker = SpanTracker(module.dim)
+    basis = frontier = [v for v in seeds if tracker.add(v)]
+    while frontier:
+        frontier = [
+            w for v in frontier for low in lowering if (w := apply_by_rows(low, v)) and tracker.add(w)
+        ]
+        basis = basis + frontier
+    return basis
+
+
+def slot_basis_by_interpolation(points, cap) -> list:
+    """The nonzero rows of the rref of the values of 1, t, ..., t^top at the
+    distinct ``points``, top = min(cap, k − 1) for k of them, each
+    interpolated back to a polynomial."""
+    distinct = list(dict.fromkeys(points))
+    top = min(cap, len(distinct) - 1)
+    reduced, rank, _ = rref(Mat([[p**m for p in distinct] for m in range(top + 1)]))
+    return [
+        lagrange_interpolant(distinct, [reduced[i, g] for g in range(len(distinct))])
+        for i in range(rank)
+    ]

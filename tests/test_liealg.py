@@ -10,7 +10,7 @@ from repcur.liealg import (
     form_matrix,
     sign_function,
 )
-from repcur.linalg import Mat
+from repcur.linalg import Mat, SpanTracker
 from repcur.rational import Q
 
 
@@ -140,6 +140,47 @@ def test_every_family_has_a_split_cartan(family, n, rank):
     for part, keep in zip(parts, (lambda r, c: r == c, lambda r, c: r < c, lambda r, c: r > c)):
         for i in part:
             assert all(keep(r, c) for (r, c), _ in spec.basis[i].items())
+
+
+GENERATOR_CASES = (
+    [(GL, n, n - 1) for n in range(1, 5)]
+    + [(SP, n, n) for n in range(1, 4)]
+    + [(SO, n, n // 2) for n in range(3, 8)]
+)
+
+
+@pytest.mark.parametrize("family,n,simple", GENERATOR_CASES)
+def test_generators_are_the_cartan_and_the_simple_root_vectors(family, n, simple):
+    """n − 1, n and ⌊n/2⌋ simple raising and as many simple lowering
+    elements for gl(n), sp(2n) and so(n), after the Cartan."""
+    spec = build_lie_algebra(family, n)
+    gens = spec.generator_indices
+    rank = len(spec.cartan_indices)
+    assert gens[:rank] == spec.cartan_indices
+    assert len(set(gens[rank:]) & set(spec.raising_indices)) == simple
+    assert len(set(gens[rank:]) & set(spec.lowering_indices)) == simple
+    assert len(gens) == len(set(gens)) == rank + 2 * simple
+
+
+@pytest.mark.parametrize("family,n,simple", GENERATOR_CASES)
+def test_generators_span_the_algebra_under_brackets(family, n, simple):
+    """Right-nested brackets [g_1, [g_2, ..., g_r]] of generators span g."""
+    spec = build_lie_algebra(family, n)
+    span = SpanTracker(spec.dim)
+    frontier = [{g: 1} for g in spec.generator_indices if span.add({g: 1})]
+    while frontier:
+        grown = []
+        for u in frontier:
+            for g in spec.generator_indices:
+                w: dict = {}
+                for b, c in u.items():
+                    for k, x in spec.bracket[(g, b)].items():
+                        w[k] = w.get(k, 0) + c * x
+                w = {k: x for k, x in w.items() if x}
+                if w and span.add(w):
+                    grown.append(w)
+        frontier = grown
+    assert span.dim == spec.dim
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Modules: irrep construction, weights, Casimir scalars, commutants."""
 
 import dataclasses
+import itertools
 import tracemalloc
 
 import pytest
@@ -12,6 +13,7 @@ from repcur.liealg import GL, SO, SP, build_lie_algebra
 from repcur.linalg import Mat, SpanTracker
 from repcur.modules import (
     _lowering_closure,
+    _promote,
     build_irrep,
     commutant_basis,
     commutant_dimension,
@@ -23,8 +25,17 @@ from repcur.modules import (
 )
 from repcur.poly import Poly
 from repcur.rational import Q
+from repcur.verify import evaluation_commutant_dimension
 
-from reference import casimir_eigenvalue, check_bracket_compatibility, is_vector, span_contains
+from reference import (
+    apply_by_rows,
+    casimir_eigenvalue,
+    check_bracket_compatibility,
+    commutant_basis_by_weight,
+    is_vector,
+    lowering_closure_by_rows,
+    span_contains,
+)
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +65,27 @@ def test_is_dominant(gl2):
 def test_standard_module_is_a_representation(family, n):
     spec = build_lie_algebra(family, n)
     assert check_bracket_compatibility(standard_module(spec))
+
+
+@pytest.mark.parametrize("factor", [0, 1, 2])
+def test_promote_is_the_kronecker_product_with_identities(factor):
+    """1 ⊗ a ⊗ 1 entry by entry, with the entries of ``a`` kept as they
+    are: ints and Qs, and no zero stored."""
+    dims = [2, 3, 2]
+    size = dims[factor]
+    values = [[Q(1, 2), 0, 2], [0, -1, 0], [3, 0, Q(-1, 3)]]
+    a = Mat([row[:size] for row in values[:size]])
+
+    def flat(idx):
+        return (idx[0] * dims[1] + idx[1]) * dims[2] + idx[2]
+
+    entries = {}
+    for row in itertools.product(*map(range, dims)):
+        for c, v in a.data[row[factor]].items():
+            entries[flat(row), flat(row[:factor] + (c,) + row[factor + 1 :])] = v
+    promoted = _promote(a, dims, factor)
+    assert promoted == Mat.from_entries(12, 12, entries)
+    assert all(map(is_vector, promoted.data))
 
 
 def test_tensor_module_is_a_representation(gl2):
@@ -211,14 +243,16 @@ _entries = st.integers(1, 3) | st.integers(-3, -1) | st.builds(
 @given(st.lists(st.dictionaries(st.integers(0, _CUBE.dim - 1), _entries, min_size=1), max_size=3))
 def test_lowering_closure_keeps_the_vector_invariant(seeds):
     """From any seed vectors the closure is a basis of a lowering-stable
-    space, and its vectors store no zero and hold only ints and Qs."""
+    space, and its vectors store no zero and hold only ints and Qs.  It is
+    the closure that lowers each vector row by row."""
     basis = _lowering_closure(_CUBE, seeds)
+    assert basis == lowering_closure_by_rows(_CUBE, seeds)
     assert all(map(is_vector, basis))
     span = SpanTracker(_CUBE.dim)
     assert all(span.add(v) for v in basis)
     assert all(span_contains(span, v) for v in seeds)
     lowering = [_CUBE.actions[i] for i in _CUBE.spec.lowering_indices]
-    assert all(span_contains(span, low.apply(v)) for v in basis for low in lowering)
+    assert all(span_contains(span, apply_by_rows(low, v)) for v in basis for low in lowering)
 
 
 def test_isotypic_decompose_raises_when_components_do_not_exhaust(gl2):
@@ -299,6 +333,70 @@ def test_commutant_basis_against_the_isotypic_multiplicities(family, n, factors)
         assert all(weight[p] == weight[q] for (p, q), _ in m.items())
         assert all(m * a == a * m for a in module.actions)
         assert span.add(m)
+
+
+COMMUTANT_CASES = (
+    [(GL, 2, [None] * d) for d in range(1, 5)]
+    + [(GL, 3, [None] * d) for d in range(1, 4)]
+    + [(SP, 1, [None] * d) for d in range(1, 4)]
+    + [(SO, 3, [None] * d) for d in range(1, 4)]
+    + [(family, n, [None] * 2) for family, n in [(SP, 2), (SO, 4), (SO, 5)]]
+    + [(GL, 2, [(2, 0), None, None])]
+)
+
+
+def case_factors(family, n, factors):
+    """The factor modules: V(λ) for λ and V for None."""
+    spec = build_lie_algebra(family, n)
+    return [standard_module(spec) if lam is None else build_irrep(spec, lam, sum(lam)) for lam in factors]
+
+
+def _case_id(case):
+    family, n, factors = case
+    return f"{family}{n}-" + "x".join("V" if lam is None else f"V{lam}" for lam in factors)
+
+
+@pytest.mark.parametrize("family,n,factors", COMMUTANT_CASES, ids=map(_case_id, COMMUTANT_CASES))
+def test_generator_commutant_is_the_equal_weight_solve_over_every_action(family, n, factors):
+    """Imposing only the generators on the joint eigenspaces of the
+    Cartan gives, matrix for matrix, the commutant solved in the entries
+    of equal weight under every basis action."""
+    module = tensor_module(case_factors(family, n, factors))
+    gens = [module.actions[b] for b in module.spec.generator_indices]
+    want = commutant_basis_by_weight(module.actions, module)
+    assert commutant_basis(gens, module) == want
+    assert commutant_dimension(module) == len(want)
+
+
+def _point_sets(d):
+    """Distinct, partially coincident (d >= 3) and coincident points."""
+    sets = [list(range(d))]
+    if d >= 3:
+        sets.append([0] * (d - 1) + [1])
+    if d >= 2:
+        sets.append([2] * d)
+    return sets
+
+
+@pytest.mark.parametrize("family,n,factors", COMMUTANT_CASES, ids=map(_case_id, COMMUTANT_CASES))
+def test_evaluation_commutant_is_the_equal_weight_solve_over_every_current(family, n, factors):
+    """At every cap below d, on distinct, partially coincident and
+    coincident points, the generators on the slot basis give the dimension
+    of the commutant solved in the entries of equal weight under every
+    b(t^m), m up to the cap; under those same actions the block solve
+    spans that commutant."""
+    factor_modules = case_factors(family, n, factors)
+    for points in _point_sets(len(factors)):
+        em = EvaluationModule(factor_modules, points)
+        for cap in range(len(factors)):
+            monomials = [Poly([0] * m + [1]) for m in range(cap + 1)]
+            actions = [em.basis_action(b, t_m) for b in range(em.spec.dim) for t_m in monomials]
+            want = commutant_basis_by_weight(actions, em.carrier)
+            assert evaluation_commutant_dimension(em, cap) == len(want), (points, cap)
+            got = commutant_basis(actions, em.carrier)
+            span = SpanTracker(em.dim**2)
+            assert all(span.add(m) for m in want)
+            assert len(got) == len(want) and all(span_contains(span, m) for m in got)
 
 
 def _current_actions(em):

@@ -35,7 +35,7 @@ from repcur.verify import (
     place_permutation_matrix,
 )
 
-from reference import casimir_eigenvalue
+from reference import casimir_eigenvalue, slot_basis_by_interpolation
 
 
 @pytest.fixture(scope="module")
@@ -313,6 +313,22 @@ def test_hwv_frame_reads_blocks_off_rows(family, n, monkeypatch):
         assert select * img * hwv == solve_columns(hwv, img * hwv)
 
 
+@pytest.mark.parametrize("b", [*range(9), None])
+def test_noncommuting_basis_element_is_the_first_of_all(b):
+    """The generators are scanned first, but the element reported is the
+    first basis element, generator or not, whose commutator with the action
+    of b (the identity for None) is nonzero.  In gl(3), E_13 (index 2) is
+    not a generator, and it is the first to fail against E_32 and E_33."""
+    em = EvaluationModule([standard_module(build_lie_algebra(GL, 3))] * 2, [Q(0), Q(1)])
+    op = Mat.identity(em.dim) if b is None else em.carrier.actions[b]
+    first = next(
+        (y for y, a in enumerate(em.carrier.actions) if not a.commutator(op).is_zero()), None
+    )
+    assert verify._noncommuting_basis_element(op, em) == first
+    if b in (7, 8, None):
+        assert first == (None if b is None else 2)
+
+
 def test_span_check_rejects_image_outside_commutant(em2, monkeypatch):
     # the blocks of the identity and of one non-commuting matrix span 2
     # dimensions, the commutant dimension of V (x) V, so only containment
@@ -434,6 +450,9 @@ def test_slot_basis_spans_the_monomials_on_the_points(gl2, points, cap):
     monomials_on_points = [[p(x) for x in points] for p in monomials]
     assert len(basis) == rank(Mat(on_points)) == rank(Mat(monomials_on_points))
     assert rank(Mat(on_points + monomials_on_points)) == len(basis)
+    # the Lagrange interpolants of the reduced rows, coefficient for coefficient
+    typed = [[(type(c), c) for c in p.coeffs] for p in basis]
+    assert typed == [[(type(c), c) for c in p.coeffs] for p in slot_basis_by_interpolation(points, cap)]
 
 
 def test_slot_basis_reduces_at_most_one_row_per_distinct_point(gl2, monkeypatch):
