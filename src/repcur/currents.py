@@ -1,22 +1,24 @@
 """Evaluation modules of g[t] and the matrices of invariant currents.
 
 An evaluation module attaches a point p_i to each tensor factor; x(P) acts
-on the i-th factor scaled by P(p_i).  Invariant tensors give elements
-θ(P_1,...,P_k) of the enveloping algebra whose matrices on an evaluation
-module are assembled here: ``current_images`` builds them for a sequence
-of polynomial tuples in one pass that multiplies each shared word prefix
-once, reusing the prefix a tuple shares with the one before it.  Operator
-words compose with the rightmost factor applying first (the standard
-left-module convention).
+on the i-th factor scaled by P(p_i).  Its matrix is assembled from the
+factors' actions alone, so the g-module of the tensor product, the
+``carrier``, is built only when a check reads it.  Invariant tensors give
+elements θ(P_1,...,P_k) of the enveloping algebra whose matrices on an
+evaluation module are assembled here: ``current_images`` builds them for a
+sequence of polynomial tuples in one pass that multiplies each shared word
+prefix once, reusing the prefix a tuple shares with the one before it.
+Operator words compose with the rightmost factor applying first (the
+standard left-module convention).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from .liealg import LieAlgebraSpec
 from .linalg import Mat, lincomb
-from .modules import GModule, _promote, tensor_module
+from .modules import GModule, _promote, _tensor_shape, tensor_module
 from .poly import Poly
 from .rational import exact
 
@@ -40,7 +42,12 @@ class InvariantTensor:
 
 
 class EvaluationModule:
-    """Tensor product of g-modules with one evaluation point per factor."""
+    """Tensor product of g-modules with one evaluation point per factor.
+
+    The factors are validated at construction, the carrier dimension
+    against REPCUR_MAX_DIM included (``modules._tensor_shape``), but the
+    g-module ``carrier`` with its tensor-product actions is built on first
+    read: the current actions b(P) come from the factors alone."""
 
     def __init__(self, factors: list, points: list):
         if len(points) != len(factors):
@@ -50,19 +57,18 @@ class EvaluationModule:
             )
         self.factors = list(factors)
         self.points = [exact(p) for p in points]
-        self.carrier: GModule = tensor_module(self.factors)
-        self.spec: LieAlgebraSpec = self.carrier.spec
-        self.dims = [f.dim for f in self.factors]
+        self.spec, self.dims, self.dim = _tensor_shape(self.factors)
         self._factor_actions: dict = {}
         self._poly_cache: dict = {}
+
+    @cached_property
+    def carrier(self) -> GModule:
+        """The g-module: the tensor product of the factors."""
+        return tensor_module(self.factors)
 
     @property
     def d(self) -> int:
         return len(self.factors)
-
-    @property
-    def dim(self) -> int:
-        return self.carrier.dim
 
     def has_distinct_points(self) -> bool:
         return len(set(self.points)) == len(self.points)

@@ -54,19 +54,32 @@ class LieAlgebraSpec:
     def dim(self) -> int:
         return len(self.basis)
 
+    def _simple(self, indices) -> tuple:
+        """The indices among ``indices`` that occur in no bracket of two of
+        them: the simple root vectors when ``indices`` are the raising (or
+        the lowering) ones.  This finds the root e_{m-1} + e_m of so(2m)
+        too, off the superdiagonal."""
+        made = {k for a in indices for b in indices for k in self.bracket[(a, b)]}
+        return tuple(i for i in indices if i not in made)
+
+    @cached_property
+    def borel_indices(self) -> tuple:
+        """The Cartan indices, then the simple raising ones: generators of
+        the Borel subalgebra b.  On a finite-dimensional module with a
+        weight basis that is a direct sum of irreducibles (every module the
+        library builds) a matrix commuting with b commutes with g, End_b =
+        End_g.  A nonzero b-map V(λ) → V(μ) keeps weights, so w₀λ is a
+        weight of V(μ) and λ ≤ μ; its image, a b-submodule, holds the
+        highest weight vector of V(μ), so μ ≤ λ.  At λ = μ it is fixed by
+        the image of the lowest weight vector, which generates V(λ) under
+        b, so it is a scalar."""
+        return self.cartan_indices + self._simple(self.raising_indices)
+
     @cached_property
     def generator_indices(self) -> tuple:
-        """The Cartan indices, then the simple raising and the simple
-        lowering ones: the Chevalley generators, which generate the algebra
-        under brackets.  A raising index is simple when it occurs in no
-        bracket of two raising elements, and likewise a lowering one; this
-        finds the root e_{m-1} + e_m of so(2m) too, off the superdiagonal."""
-
-        def simple(indices):
-            made = {k for a in indices for b in indices for k in self.bracket[(a, b)]}
-            return tuple(i for i in indices if i not in made)
-
-        return self.cartan_indices + simple(self.raising_indices) + simple(self.lowering_indices)
+        """``borel_indices``, then the simple lowering indices: the
+        Chevalley generators, which generate the algebra under brackets."""
+        return self.borel_indices + self._simple(self.lowering_indices)
 
     def coords(self, x: Mat) -> list:
         """Coordinates of x in the basis; errors if x is outside the algebra.

@@ -10,7 +10,10 @@ Every module built here has a basis of weight vectors: the Cartan acts
 diagonally, with integer entries, on the carrier.  Weights are read off
 those diagonals, so weight spaces, isotypic splitting and the commutant's
 blocks (the joint eigenspaces of the diagonal actions) need no eigenvalue
-search.
+search.  Each is also a direct sum of irreducibles, so its commutant is
+solved under the Borel half of the actions alone (``commutant_dimension``).
+``_tensor_shape`` validates tensor factors without building the product,
+which lets an evaluation module build its carrier only when it is read.
 """
 
 from __future__ import annotations
@@ -121,20 +124,28 @@ def _capped_dimension(dims) -> int:
     return total
 
 
-def tensor_module(factors: list) -> GModule:
-    """Tensor product with action x ↦ Σ_i 1⊗...⊗action_i(x)⊗...⊗1.
-
-    The carrier dimension is capped by the environment variable
-    REPCUR_MAX_DIM (default 4096), checked before any action is built.
-    """
+def _tensor_shape(factors: list):
+    """``(spec, dims, total)`` of the tensor product of the g-modules
+    ``factors``: their Lie algebra, their dimensions and the carrier
+    dimension, checked against REPCUR_MAX_DIM (``_capped_dimension``).
+    Raises ValueError for no factors or factors over different algebras."""
     if not factors:
-        raise ValueError("tensor_module needs at least one factor")
+        raise ValueError("a tensor product needs at least one factor")
     spec = factors[0].spec
     for f in factors:
         if f.spec is not spec and f.spec != spec:
             raise ValueError("tensor factors over different Lie algebras")
     dims = [f.dim for f in factors]
-    total = _capped_dimension(dims)
+    return spec, dims, _capped_dimension(dims)
+
+
+def tensor_module(factors: list) -> GModule:
+    """Tensor product with action x ↦ Σ_i 1⊗...⊗action_i(x)⊗...⊗1.
+
+    The factors are validated (``_tensor_shape``), the carrier dimension
+    against REPCUR_MAX_DIM (default 4096), before any action is built.
+    """
+    spec, dims, total = _tensor_shape(factors)
     actions = [
         lincomb(((ONE, _promote(f.actions[b], dims, i)) for i, f in enumerate(factors)), total, total)
         for b in range(spec.dim)
@@ -290,9 +301,9 @@ def _commutator_rows(a: Mat, unknown: dict, block_of: list):
     return ({k: x for k, x in row.items() if x} for row in rows.values())
 
 
-def commutant_basis(actions: list, carrier: GModule) -> list:
-    """Basis of {M : [M, A] = 0 for every A in actions}, for any actions on
-    the ``carrier``.
+def commutant_basis(actions: list) -> list:
+    """Basis of {M : [M, A] = 0 for every A in actions}, for any nonempty
+    list of square matrices of one size.
 
     A diagonal action D gives m_pq (D[q, q] − D[p, p]) = 0, so M is block
     diagonal on the joint eigenspaces of the diagonal actions: the unknowns
@@ -307,10 +318,13 @@ def commutant_basis(actions: list, carrier: GModule) -> list:
     """
     if not actions:
         raise ValueError("commutant of an empty action list is everything")
-    size = carrier.dim
+    size = actions[0].rows
     for a in actions:
         if a.shape != (size, size):
-            raise ValueError(f"action of shape {a.shape} on a carrier of dimension {size}")
+            raise ValueError(
+                f"actions of shapes {actions[0].shape} and {a.shape}: "
+                "need square matrices of one size"
+            )
 
     diagonal, others = [], []
     for a in actions:
@@ -334,8 +348,8 @@ def commutant_basis(actions: list, carrier: GModule) -> list:
 
 
 def commutant_dimension(module: GModule) -> int:
-    """dim {M : [M, action(x)] = 0 for all basis x}.  Only the generators
-    (``LieAlgebraSpec.generator_indices``) are imposed: by Jacobi, M
-    commutes with [A, B] when it commutes with A and B."""
-    gens = [module.actions[b] for b in module.spec.generator_indices]
-    return len(commutant_basis(gens, carrier=module))
+    """dim {M : [M, action(x)] = 0 for all basis x}.  Only the Cartan and
+    simple raising actions (``LieAlgebraSpec.borel_indices``) are imposed:
+    they generate the Borel subalgebra b, and on the modules built here
+    End_b = End_g."""
+    return len(commutant_basis([module.actions[b] for b in module.spec.borel_indices]))

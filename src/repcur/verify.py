@@ -536,14 +536,28 @@ def check_cycle_generation(em: EvaluationModule, degree_cap=None):
 def evaluation_commutant_dimension(em: EvaluationModule, degree_cap=None) -> int:
     """dim of the commutant of the full g[t]-action (degrees up to the cap).
 
-    The actions are b(P) for the generators b (``generator_indices``) and
-    the P of the slot basis of the cap (``_slot_basis``), whose value
-    vectors span those of the monomials.  Their span contains the constant
-    1, and [x(P), y(1)] = [x, y](P), so by Jacobi a matrix commuting with
-    them commutes with every x(P) of degree up to the cap."""
+    The actions are b(P) for the P of the slot basis of the cap
+    (``_slot_basis``), whose value vectors span those of the monomials, and
+    for the Borel half b of g (``borel_indices``), which loses nothing at
+    any cap.  The span S of the slot basis holds 1 and generates the
+    algebra A of the functions constant on the blocks of a partition of
+    the points, so g ⊗ A = g^{⊕B} for B blocks and the module is a direct
+    sum of irreducibles V(λ) = ⊗_f V(λ_f) of g^{⊕B}.  A matrix M commuting
+    with the b(P) commutes with n⁺ ⊗ A, as [h(P), e(Q)] = α(h) e(PQ).  Let
+    φ: V(λ) → V(μ) be a nonzero component of M, an n⁺-map keeping the
+    h(P)-weights, and y its image of the lowest weight vector, nonzero as
+    that vector generates V(λ) under n⁺.  A weight component ν of y is
+    killed by (e_i^{(f)})^{m+1}, m the length of the α_i-string through
+    w₀λ_f, so ⟨ν_f − w₀λ_f, α_i^∨⟩ ≥ 0; h(1) keeps Σ_f ν_f = Σ_f w₀λ_f, so
+    each is 0, and λ_f ≤ μ_f on [g, g].  The image holds the highest weight
+    vector of V(μ), so Σ_f μ_f ≤ Σ_f λ_f.  Hence λ and μ agree on
+    [g, g]^{⊕B}, y is a lowest weight vector and φ is a multiple of their
+    isomorphism, which matches the h(P)-weights.  So M commutes with
+    [g, g] ⊗ A and with the centre ⊗ S, the Lie algebra every x(P) of
+    degree up to the cap generates.  The carrier is never built."""
     basis = _slot_basis(em, _default_cap(em, degree_cap))
-    actions = [em.basis_action(b, poly) for b in em.spec.generator_indices for poly in basis]
-    return len(commutant_basis(actions, em.carrier))
+    actions = [em.basis_action(b, poly) for b in em.spec.borel_indices for poly in basis]
+    return len(commutant_basis(actions))
 
 
 @_check("evaluation_irreducibility")

@@ -18,7 +18,7 @@ END_TO_END = [
 ]
 
 
-def _run(verify_s, checks=4, failed=0, digest=None, unsampled=0):
+def _run(verify_s, checks=4, failed=0, digest=None, unsampled=0, wall=0.06, factor=1.2):
     return {
         "correct": failed == 0,
         "failed": failed,
@@ -29,6 +29,8 @@ def _run(verify_s, checks=4, failed=0, digest=None, unsampled=0):
         },
         "rounds": 10,
         "unsampled_rounds": unsampled,
+        "median_wall_s": wall,
+        "median_sampled_factor": factor,
         "digest": digest,
     }
 
@@ -56,6 +58,8 @@ def test_summary_counts_wins_and_spreads_each_side():
     assert out["rounds"] == {"parent": [10] * 5, "change": [10] * 5}
     assert out["unsampled_rounds"] == {"parent": [0] * 5, "change": [10, 3, 0, 10, 1]}
     assert out["digests_equal"]
+    assert out["median_wall_s"]["parent"] == {"median": 0.06, "runs": [0.06] * 5}
+    assert out["median_sampled_factor"]["change"] == [1.2] * 5
     verify_s = out["metrics"]["verify_s"]
     assert verify_s["unit"] == "s"
     assert verify_s["change_wins"] == 4  # all but the third pair
@@ -110,7 +114,10 @@ def test_unsampled_rounds_are_read_off_the_run_record(tmp_path, monkeypatch):
     result = {"correct": True, "attempted": 12, "failed": 0, "metrics": {}}
     record = {
         "digest": "d",
-        "rounds": [{"factor": f} for f in (1.0, 1.3, 1.0, 0.9)],
+        "rounds": [
+            {"wall_s": w, "factor": f}
+            for w, f in ((0.04, 1.0), (0.07, 1.3), (0.045, 1.0), (0.06, 0.9), (0.08, 1.5))
+        ],
     }
     (tmp_path / ".perfbench_results").mkdir()
     (tmp_path / ".perfbench_results" / "desk-seed5-trace0.json").write_text(json.dumps(record))
@@ -121,4 +128,24 @@ def test_unsampled_rounds_are_read_off_the_run_record(tmp_path, monkeypatch):
 
     monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
     run = bench_pairs.run_perfbench(tmp_path, "desk", 5, 8)
-    assert run == {**result, "rounds": 4, "unsampled_rounds": 2, "digest": "d"}
+    assert run == {
+        **result,
+        "rounds": 5,
+        "unsampled_rounds": 2,
+        "median_wall_s": 0.06,
+        "median_sampled_factor": 1.3,
+        "digest": "d",
+    }
+
+
+def test_median_walls_show_each_side_against_the_sampling_period():
+    """Each side's median of its runs' median round walls, and the run
+    with no sampled round reads None for its factor."""
+    parent = [_run(0.04, wall=w) for w in (0.055, 0.052, 0.06)]
+    change = [_run(0.03, wall=w, factor=None) for w in (0.045, 0.041, 0.048)]
+    out = bench_pairs.summarize(_pairs(parent, change), END_TO_END)
+    assert out["median_wall_s"] == {
+        "parent": {"median": 0.055, "runs": [0.055, 0.052, 0.06]},
+        "change": {"median": 0.045, "runs": [0.045, 0.041, 0.048]},
+    }
+    assert out["median_sampled_factor"] == {"parent": [1.2] * 3, "change": [None] * 3}

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from repcur import currents, modules
 from repcur.currents import (
     EvaluationModule,
     InvariantTensor,
@@ -13,9 +14,10 @@ from repcur.currents import (
 from repcur.invariants import Permutation, casimir_tensor, fft_tensors, theta_sigma
 from repcur.liealg import GL, SO, SP, build_lie_algebra
 from repcur.linalg import Mat, lincomb
-from repcur.modules import standard_module
+from repcur.modules import standard_module, tensor_module
 from repcur.poly import Poly, lagrange_interpolant
 from repcur.rational import Q
+from repcur.verify import check_evaluation_irreducibility
 
 from reference import reference_image
 
@@ -41,6 +43,42 @@ def test_float_points_are_rejected(gl2):
     v = standard_module(gl2)
     with pytest.raises(TypeError):
         EvaluationModule([v, v], [0, 0.5])
+
+
+def test_factors_are_validated_at_construction_before_any_promotion(gl2, monkeypatch):
+    """Mixed algebras, no factors and a carrier over REPCUR_MAX_DIM raise at
+    construction, before any factor action is promoted."""
+    promoted = []
+    for module in (currents, modules):
+        monkeypatch.setattr(module, "_promote", lambda *args: promoted.append(args))
+    v, w = standard_module(gl2), standard_module(build_lie_algebra(SP, 1))
+    with pytest.raises(ValueError, match="different Lie algebras"):
+        EvaluationModule([v, w], [Q(0), Q(1)])
+    with pytest.raises(ValueError, match="at least one factor"):
+        EvaluationModule([], [])
+    monkeypatch.setenv("REPCUR_MAX_DIM", "7")
+    with pytest.raises(ValueError, match=r"carrier dimension 8 exceeds the limit 7"):
+        EvaluationModule([v, v, v], [Q(0), Q(1), Q(2)])
+    assert promoted == []
+
+
+def test_evaluation_check_never_builds_the_carrier(monkeypatch):
+    """The evaluation irreducibility check reads only the current actions,
+    which come from the factors: the tensor-product g-module is not built."""
+    built = []
+    monkeypatch.setattr(currents, "tensor_module", lambda factors: built.append(factors))
+    v = standard_module(build_lie_algebra(GL, 3))
+    em = EvaluationModule([v] * 3, [Q(0), Q(1), Q(2)])
+    assert (em.spec, em.dims, em.dim) == (v.spec, [3] * 3, 27)
+    assert check_evaluation_irreducibility(em).passed
+    assert built == [] and "carrier" not in vars(em)
+
+
+def test_carrier_is_built_once_on_first_read(em3):
+    em = EvaluationModule(em3.factors, em3.points)
+    assert "carrier" not in vars(em)
+    assert em.carrier is em.carrier and em.carrier.dim == em.dim == 8
+    assert em.carrier.actions == tensor_module(em.factors).actions
 
 
 def test_basis_action_scales_by_point_values(em3):

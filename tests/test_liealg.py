@@ -162,6 +162,32 @@ def test_generators_are_the_cartan_and_the_simple_root_vectors(family, n, simple
     assert len(gens) == len(set(gens)) == rank + 2 * simple
 
 
+def _simple_root_positions(family, n):
+    """The (row, column) at which each simple raising element is 1, 0-based:
+    the superdiagonal up to the rank, except that so(2m) trades (m−1, m)
+    for (m−2, m), the root e_{m−1} + e_m."""
+    rank = n - 1 if family == GL else n if family == SP else n // 2
+    positions = {(i, i + 1) for i in range(rank)}
+    if family == SO and n % 2 == 0:
+        positions = positions - {(rank - 1, rank)} | {(rank - 2, rank)}
+    return positions
+
+
+@pytest.mark.parametrize("family,n,simple", GENERATOR_CASES)
+def test_borel_indices_are_the_cartan_and_the_simple_raising_elements(family, n, simple):
+    """``borel_indices`` is the Cartan, then the simple raising indices, in
+    index order; the generators add the simple lowering ones after it."""
+    spec = build_lie_algebra(family, n)
+    borel = spec.borel_indices
+    rank = len(spec.cartan_indices)
+    assert borel[:rank] == spec.cartan_indices
+    assert list(borel[rank:]) == sorted(set(borel[rank:]) & set(spec.raising_indices))
+    assert len(borel) == rank + simple
+    assert {min(spec.basis[i].items())[0] for i in borel[rank:]} == _simple_root_positions(family, n)
+    assert spec.generator_indices[: len(borel)] == borel
+    assert set(spec.generator_indices[len(borel) :]) <= set(spec.lowering_indices)
+
+
 @pytest.mark.parametrize("family,n,simple", GENERATOR_CASES)
 def test_generators_span_the_algebra_under_brackets(family, n, simple):
     """Right-nested brackets [g_1, [g_2, ..., g_r]] of generators span g."""

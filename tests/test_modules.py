@@ -25,7 +25,7 @@ from repcur.modules import (
 )
 from repcur.poly import Poly
 from repcur.rational import Q
-from repcur.verify import evaluation_commutant_dimension
+from repcur.verify import _slot_basis, evaluation_commutant_dimension
 
 from reference import (
     apply_by_rows,
@@ -292,14 +292,19 @@ def test_so3_commutant_dimension():
 
 
 def test_commutant_basis_validates_its_actions(gl2):
+    """The size is read off the actions: they must be square and of one
+    size."""
     v = standard_module(gl2)
     square = tensor_module([v, v])
     with pytest.raises(ValueError, match="empty action list"):
-        commutant_basis([], square)
-    with pytest.raises(ValueError, match=r"shape \(2, 2\) on a carrier of dimension 4"):
-        commutant_basis(v.actions, square)
-    with pytest.raises(ValueError, match=r"shape \(4, 4\) on a carrier of dimension 2"):
-        commutant_basis(square.actions, v)
+        commutant_basis([])
+    with pytest.raises(ValueError, match=r"shapes \(2, 2\) and \(4, 4\)"):
+        commutant_basis(v.actions + square.actions)
+    with pytest.raises(ValueError, match=r"shapes \(4, 4\) and \(2, 2\)"):
+        commutant_basis(square.actions + v.actions)
+    with pytest.raises(ValueError, match=r"shapes \(2, 3\) and \(2, 3\)"):
+        commutant_basis([Mat.zeros(2, 3)])
+    assert len(commutant_basis(square.actions)) == commutant_dimension(square) == 2
 
 
 @pytest.mark.parametrize(
@@ -324,7 +329,7 @@ def test_commutant_basis_against_the_isotypic_multiplicities(family, n, factors)
     module = tensor_module(
         [standard_module(spec) if lam is None else build_irrep(spec, lam, sum(lam)) for lam in factors]
     )
-    basis = commutant_basis(module.actions, module)
+    basis = commutant_basis(module.actions)
     mults = sum(c.multiplicity**2 for c in isotypic_decompose(module))
     assert len(basis) == commutant_dimension(module) == mults
     weight = {i: w for w, vectors in weight_decomposition(module) for v in vectors for i in v}
@@ -358,13 +363,14 @@ def _case_id(case):
 
 @pytest.mark.parametrize("family,n,factors", COMMUTANT_CASES, ids=map(_case_id, COMMUTANT_CASES))
 def test_generator_commutant_is_the_equal_weight_solve_over_every_action(family, n, factors):
-    """Imposing only the generators on the joint eigenspaces of the
-    Cartan gives, matrix for matrix, the commutant solved in the entries
-    of equal weight under every basis action."""
+    """Imposing only the generators, or only their Borel half (End_b =
+    End_g), on the joint eigenspaces of the Cartan gives, matrix for
+    matrix, the commutant solved in the entries of equal weight under
+    every basis action."""
     module = tensor_module(case_factors(family, n, factors))
-    gens = [module.actions[b] for b in module.spec.generator_indices]
     want = commutant_basis_by_weight(module.actions, module)
-    assert commutant_basis(gens, module) == want
+    for indices in (module.spec.generator_indices, module.spec.borel_indices):
+        assert commutant_basis([module.actions[b] for b in indices]) == want
     assert commutant_dimension(module) == len(want)
 
 
@@ -378,13 +384,17 @@ def _point_sets(d):
     return sets
 
 
-@pytest.mark.parametrize("family,n,factors", COMMUTANT_CASES, ids=map(_case_id, COMMUTANT_CASES))
+EVALUATION_CASES = COMMUTANT_CASES + [(GL, 2, [(2, 0)] * 3)]
+
+
+@pytest.mark.parametrize("family,n,factors", EVALUATION_CASES, ids=map(_case_id, EVALUATION_CASES))
 def test_evaluation_commutant_is_the_equal_weight_solve_over_every_current(family, n, factors):
     """At every cap below d, on distinct, partially coincident and
-    coincident points, the generators on the slot basis give the dimension
-    of the commutant solved in the entries of equal weight under every
-    b(t^m), m up to the cap; under those same actions the block solve
-    spans that commutant."""
+    coincident points, the Borel half of g on the slot basis gives, matrix
+    for matrix, the commutant solved in the entries of equal weight under
+    every b(t^m), m up to the cap, and ``evaluation_commutant_dimension``
+    its dimension; under those same actions the block solve spans that
+    commutant."""
     factor_modules = case_factors(family, n, factors)
     for points in _point_sets(len(factors)):
         em = EvaluationModule(factor_modules, points)
@@ -392,11 +402,29 @@ def test_evaluation_commutant_is_the_equal_weight_solve_over_every_current(famil
             monomials = [Poly([0] * m + [1]) for m in range(cap + 1)]
             actions = [em.basis_action(b, t_m) for b in range(em.spec.dim) for t_m in monomials]
             want = commutant_basis_by_weight(actions, em.carrier)
+            slots = _slot_basis(em, cap)
+            borel = [em.basis_action(b, p) for b in em.spec.borel_indices for p in slots]
+            assert commutant_basis(borel) == want, (points, cap)
             assert evaluation_commutant_dimension(em, cap) == len(want), (points, cap)
-            got = commutant_basis(actions, em.carrier)
+            got = commutant_basis(actions)
             span = SpanTracker(em.dim**2)
             assert all(span.add(m) for m in want)
             assert len(got) == len(want) and all(span_contains(span, m) for m in got)
+
+
+def test_borel_evaluation_commutant_sees_the_raising_rows_in_shared_blocks():
+    """gl(2) V(2,0)^⊗3 at 0, 1, 2, cap 1: h(1) and h(t) do not split the
+    per-factor weights, (2,0,1) and (1,2,0) of E_11 share a block, and only
+    the raising rows cut the commutant down to the scalars."""
+    em = EvaluationModule(case_factors(GL, 2, [(2, 0)] * 3), [0, 1, 2])
+    basis = _slot_basis(em, 1)
+    diagonal = [em.basis_action(h, p) for h in em.spec.cartan_indices for p in basis]
+    blocks: dict = {}
+    for i in range(em.dim):
+        blocks.setdefault(tuple(d[i, i] for d in diagonal), []).append(i)
+    assert max(map(len, blocks.values())) > 1
+    assert len(commutant_basis(diagonal)) == sum(len(b) ** 2 for b in blocks.values()) > 1
+    assert evaluation_commutant_dimension(em, 1) == 1
 
 
 def _current_actions(em):
@@ -415,7 +443,7 @@ def test_commutant_stops_at_the_identity_at_distinct_points(family, n, d, monkey
     read = []
     rows = modules._commutator_rows
     monkeypatch.setattr(modules, "_commutator_rows", lambda a, *rest: read.append(a) or rows(a, *rest))
-    assert commutant_basis(actions, em.carrier) == [Mat.identity(em.dim)]
+    assert commutant_basis(actions) == [Mat.identity(em.dim)]
     assert 0 < len(read) < len(actions)
 
 
@@ -424,10 +452,10 @@ def test_commutant_at_coincident_points_is_the_g_commutant(family, n, d):
     """At one point t^k acts as a scalar multiple of t^0, so the currents
     commute with exactly what g commutes with."""
     em = EvaluationModule([standard_module(build_lie_algebra(family, n))] * d, [2] * d)
-    basis = commutant_basis(_current_actions(em), em.carrier)
+    basis = commutant_basis(_current_actions(em))
     assert len(basis) == commutant_dimension(em.carrier) > 1
     span = SpanTracker(em.dim**2)
-    for m in commutant_basis(em.carrier.actions, em.carrier):
+    for m in commutant_basis(em.carrier.actions):
         span.add(m)
     assert all(span_contains(span, m) for m in basis)
 

@@ -10,8 +10,11 @@ the pairs where the change reads better (lower, or higher for a metric whose
 ``failed`` and ``attempted``, the rounds that fit, the rounds with no
 speed sample (``unsampled_rounds``: a speed factor of exactly 1.0, so a
 round shorter than the sampling period of ``perfbench/pace.py`` reads raw
-wall time), and whether both sides of every pair produced the same report
-digest.
+wall time), the median raw round wall (``median_wall_s``) and the median
+speed factor of the sampled rounds (``median_sampled_factor``, None when
+no round was sampled), and whether both sides of every pair produced the
+same report digest.  Each side's median of its runs' median walls shows
+whether its rounds fall under the sampling period.
 
 Each run lasts ``run_seconds`` of ``BENCHMARK.json``, and the workloads are
 the ones it lists.
@@ -56,7 +59,8 @@ def summarize(pairs: list, end_to_end: list) -> dict:
     ``pairs`` holds one dict per pair: ``seed``, ``first`` (the side that
     ran first) and, per side, the run: ``correct``, ``failed``,
     ``attempted``, ``metrics`` (name -> {"value", "unit"}), ``rounds``,
-    ``unsampled_rounds`` and ``digest``.  ``end_to_end`` is the
+    ``unsampled_rounds``, ``median_wall_s``, ``median_sampled_factor`` and
+    ``digest``.  ``end_to_end`` is the
     ``BENCHMARK.json`` list of metrics with their ``name`` and ``better``.
     """
     runs = {side: [p[side] for p in pairs] for side in SIDES}
@@ -71,6 +75,16 @@ def summarize(pairs: list, end_to_end: list) -> dict:
         "rounds": {side: [r["rounds"] for r in runs[side]] for side in SIDES},
         "unsampled_rounds": {
             side: [r["unsampled_rounds"] for r in runs[side]] for side in SIDES
+        },
+        "median_wall_s": {
+            side: {
+                "median": statistics.median(r["median_wall_s"] for r in runs[side]),
+                "runs": [r["median_wall_s"] for r in runs[side]],
+            }
+            for side in SIDES
+        },
+        "median_sampled_factor": {
+            side: [r["median_sampled_factor"] for r in runs[side]] for side in SIDES
         },
         "digests_equal": all(p["parent"]["digest"] == p["change"]["digest"] for p in pairs),
         "metrics": {},
@@ -101,7 +115,8 @@ def summarize(pairs: list, end_to_end: list) -> dict:
 
 def run_perfbench(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
     """One untraced perfbench run: its result line plus, from its run
-    record, the rounds, the rounds with no speed sample and the digest."""
+    record, the rounds, the rounds with no speed sample, the median raw
+    round wall, the median factor of the sampled rounds and the digest."""
     cmd = [
         sys.executable, "perfbench/run.py", "--workload", workload,
         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
@@ -111,10 +126,14 @@ def run_perfbench(checkout: Path, workload: str, seed: int, seconds: int) -> dic
     record = json.loads(
         (checkout / ".perfbench_results" / f"{workload}-seed{seed}-trace0.json").read_text()
     )
+    rounds = record["rounds"]
+    sampled = [r["factor"] for r in rounds if r["factor"] != 1.0]
     return {
         **result,
-        "rounds": len(record["rounds"]),
-        "unsampled_rounds": sum(r["factor"] == 1.0 for r in record["rounds"]),
+        "rounds": len(rounds),
+        "unsampled_rounds": len(rounds) - len(sampled),
+        "median_wall_s": statistics.median(r["wall_s"] for r in rounds),
+        "median_sampled_factor": statistics.median(sampled) if sampled else None,
         "digest": record["digest"],
     }
 
